@@ -16,8 +16,9 @@
  *    and all-in-aggregator) by >= 10% on the day trace;
  *  - the controller actually re-partitions (the trace's channel
  *    episodes flip the optimal cut), with a bounded handover bill;
- *  - every re-solve after the initial design reuses the warm
- *    network: coldSolves == 1, warmSolves >= 1;
+ *  - every re-solve after the initial design reuses the
+ *    generator's one flow network: coldSolves == 1,
+ *    warmSolves >= 1;
  *  - the decision trace is deterministic: two runs serialize to
  *    identical bytes.
  */

@@ -1,27 +1,29 @@
 /**
  * @file
  * Generator throughput bench: the cost of one Automatic-XPro-
- * Generator delay sweep, cold versus warm-started.
+ * Generator delay sweep on one persistent flow network versus a
+ * network rebuilt per lambda.
  *
- * A cold sweep builds a fresh flow network and solves from zero
- * flow at every lambda; a warm sweep keeps one generator, updates
- * edge capacities and resumes from the previous lambda's feasible
- * flow (graph/flow_network). Both must induce identical placements
- * at every lambda — the min-cut source side is canonical — so the
- * speedup is free. The gated claims:
+ * A cold sweep builds a fresh generator and flow network at every
+ * lambda; a warm sweep keeps one generator, whose persistent network
+ * only has its edge capacities re-priced before each Dinic solve
+ * (graph/flow_network). Every solve starts from zero flow either
+ * way, and both must induce identical placements at every lambda —
+ * the min-cut source side is canonical. The gated claims:
  *
  *  - warm sweep >= 3x faster than cold on the largest Table-1
- *    topology (32 lambda points);
+ *    topology (32 lambda points): skipping the rebuild pays;
  *  - placements identical at every point;
  *  - the characterization cache absorbs at least half of the cell
  *    cost-model lookups while building the six Table-1 topologies.
  *
  * A 200-cell synthetic topology is also timed (unchecked) to show
- * the warm-start margin at fleet-design scale.
+ * the persistent network's margin at fleet-design scale.
  */
 
 #include <cmath>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench_common.hh"
@@ -66,15 +68,17 @@ syntheticTopology(size_t features, size_t svms, uint64_t seed)
 
     std::vector<size_t> feature_nodes;
     for (size_t i = 0; i < features; ++i) {
-        const size_t id =
-            add("f" + std::to_string(i), ComponentKind::Var);
+        std::string name = "f";
+        name += std::to_string(i);
+        const size_t id = add(name, ComponentKind::Var);
         topo.graph.addEdge(DataflowGraph::sourceId, id);
         feature_nodes.push_back(id);
     }
     std::vector<size_t> svm_nodes;
     for (size_t i = 0; i < svms; ++i) {
-        const size_t id =
-            add("s" + std::to_string(i), ComponentKind::Svm);
+        std::string name = "s";
+        name += std::to_string(i);
+        const size_t id = add(name, ComponentKind::Svm);
         for (size_t f : feature_nodes) {
             if (rng.chance(0.5))
                 topo.graph.addEdge(f, id);
@@ -131,12 +135,13 @@ coldSweep(const EngineTopology &topo, const WirelessLink &link,
     return cuts;
 }
 
-/** One warm sweep: a single generator resumes across all lambdas. */
+/** One warm sweep: a single generator re-prices its network across
+ *  all lambdas. */
 std::vector<LambdaCut>
 warmSweep(const EngineTopology &topo, const WirelessLink &link,
           const std::vector<double> &lambdas)
 {
-    const XProGenerator generator(topo, link);
+    XProGenerator generator(topo, link);
     std::vector<LambdaCut> cuts;
     cuts.reserve(lambdas.size());
     for (double lambda : lambdas)
@@ -224,8 +229,8 @@ main()
                                   warm[i].placement);
     }
     checker.check(identical,
-                  "warm-started cuts identical to cold solves at "
-                  "every lambda");
+                  "persistent-network cuts identical to fresh "
+                  "networks at every lambda");
 
     const SweepTiming timing = timeSweeps(topo, link, lambdas, 30);
     std::printf("  cold: %8.3f ms/sweep\n",
@@ -233,7 +238,8 @@ main()
     std::printf("  warm: %8.3f ms/sweep  (%.1fx)\n",
                 1e3 * timing.warmSec / 30, timing.speedup());
     checker.check(timing.speedup() >= 3.0,
-                  "warm-started sweep >= 3x faster than cold");
+                  "persistent-network sweep >= 3x faster than a "
+                  "rebuild per lambda");
 
     // Unchecked scale point: a fleet-design-sized synthetic graph.
     const EngineTopology big = syntheticTopology(160, 39, 99);

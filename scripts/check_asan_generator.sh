@@ -1,11 +1,11 @@
 #!/bin/sh
 # Build the tree under AddressSanitizer + UndefinedBehaviorSanitizer
-# and run the generator-facing suites under it: the warm-started
+# and run the generator-facing suites under it: the persistent
 # flow network, the partitioner, the property-based generator oracle
 # tests, the ML suites (flat-matrix row views, batched kernels,
 # parallel ensemble training), the fault-injection suites (ARQ
 # callback-chain lifetimes), and the adaptive-controller suites
-# (long-lived warm flow network under repeated capacity updates),
+# (long-lived flow network under repeated capacity updates),
 # and the serving hot-path suite (arena lifetimes, packed SV tiles,
 # cross-user batch slicing), and the stats-registry suite (fixed
 # cell array bounds, slab growth). Usage:

@@ -1,6 +1,6 @@
 #!/bin/sh
 # Build the tree under ThreadSanitizer and run the adaptive-controller
-# suites under it: the controller tests themselves (warm generator
+# suites under it: the controller tests themselves (generator
 # re-solves, windowed adaptive simulation) plus the fleet tests the
 # adaptive fleet pass builds on (the design phase still runs on the
 # worker pool; the per-node adaptive passes are sequential by design

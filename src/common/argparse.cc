@@ -59,7 +59,7 @@ parseProbabilityArg(const std::string &value, const char *what)
     const double parsed = std::strtod(value.c_str(), &end);
     if (!end || *end != '\0' || end == value.c_str())
         fatal("%s: '%s' is not a number", what, value.c_str());
-    if (parsed < 0.0 || parsed >= 1.0)
+    if (!(parsed >= 0.0 && parsed < 1.0))
         fatal("%s must be in [0, 1), got %g", what, parsed);
     return parsed;
 }

@@ -27,11 +27,9 @@ namespace xpro
 /**
  * Non-owning const view of one contiguous row of doubles.
  *
- * Converts implicitly from std::vector<double> and from a braced
- * initializer list, so call sites can pass either where a row is
- * expected. A view never owns its storage: keep the source alive for
- * the lifetime of the view (initializer-list views are only valid
- * within the full expression that created them).
+ * Converts implicitly from std::vector<double>, so call sites can
+ * pass a vector where a row is expected. A view never owns its
+ * storage: keep the source alive for the lifetime of the view.
  */
 class RowView
 {
@@ -43,10 +41,6 @@ class RowView
     }
     RowView(const std::vector<double> &values)
         : _data(values.data()), _size(values.size())
-    {
-    }
-    RowView(std::initializer_list<double> values)
-        : _data(values.begin()), _size(values.size())
     {
     }
 

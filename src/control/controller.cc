@@ -155,7 +155,7 @@ CrossEndController::observe(const ControlTelemetry &telemetry)
     decision.dutyLevel = duty;
 
     // Re-price the persistent flow network at the observed
-    // operating point and re-solve warm.
+    // operating point and re-solve on it.
     const double effective_rate =
         telemetry.eventsPerSecond > 0.0
             ? telemetry.eventsPerSecond * _config.dutyLevels[duty]

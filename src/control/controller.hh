@@ -9,10 +9,10 @@
  * (platform/ChargeTracker), observed channel cost (mean ARQ attempts
  * per packet from the RobustnessReport) and observed event rate —
  * and re-partitions mid-stream when drift makes a different cut
- * cheaper. Every re-solve reuses the generator's persistent
- * warm-started flow network (setTransferEnergyScale / setEventRate +
- * a warm generate()); a controller never cold-solves after its first
- * design, which the bench gates on coldSolves() == 1.
+ * cheaper. Every re-solve re-prices the generator's persistent flow
+ * network (setTransferEnergyScale / setEventRate + generate()) rather
+ * than building a new one; a controller builds exactly one network
+ * for its whole lifetime, which the bench gates on coldSolves() == 1.
  *
  * Adopted re-partitions migrate cells through a bounded-cost
  * handover: the stream drains at the window boundary, each migrating
@@ -127,8 +127,9 @@ class CrossEndController
 {
   public:
     /**
-     * Designs the initial placement with a cold solve at the
-     * nominal operating point; every later decision re-solves warm.
+     * Designs the initial placement at the nominal operating point,
+     * building the generator's flow network; every later decision
+     * re-solves on that network.
      */
     CrossEndController(const EngineTopology &topology,
                        const WirelessLink &link,
@@ -181,7 +182,7 @@ class CrossEndController
         Placement placement;
         Energy objective;
     };
-    /** Warm proposals per (quantized scale, effective rate)
+    /** Proposals per (quantized scale, effective rate)
      *  operating point: repeats skip the generator sweep. */
     std::map<std::pair<double, double>, CachedProposal> _proposals;
     /** Price of the *active* placement per operating point;

@@ -26,7 +26,7 @@ constexpr size_t cellBase = 2;
  * sweep parameters — capacity = energy + lambda * delay, with the
  * F -> cell penalty edges' energy term scaling with the
  * aggregator-energy weight — so re-solving at another sweep point is
- * a batch of updateCapacity() calls plus a warm resumeMinCut().
+ * a batch of setCapacity() calls plus a minCut() from zero flow.
  */
 struct XProGenerator::SweepNetwork
 {
@@ -68,7 +68,6 @@ struct XProGenerator::SweepNetwork
     std::vector<double> transferBaseJ;
     std::vector<CellEdge> cellEdges;
     size_t cells = 0;
-    double lambda = 0.0;
 };
 
 XProGenerator::XProGenerator(const EngineTopology &topology,
@@ -80,7 +79,7 @@ XProGenerator::XProGenerator(const EngineTopology &topology,
 XProGenerator::~XProGenerator() = default;
 
 XProGenerator::SweepNetwork &
-XProGenerator::sweep() const
+XProGenerator::sweep()
 {
     if (_sweep)
         return *_sweep;
@@ -196,7 +195,7 @@ XProGenerator::sweep() const
 }
 
 void
-XProGenerator::applyTransferScale() const
+XProGenerator::applyTransferScale()
 {
     SweepNetwork &sweep = *_sweep;
     for (size_t i = 0; i < sweep.transferEdges.size(); ++i) {
@@ -207,7 +206,7 @@ XProGenerator::applyTransferScale() const
 }
 
 void
-XProGenerator::applyEventRate() const
+XProGenerator::applyEventRate()
 {
     SweepNetwork &sweep = *_sweep;
     const double rate = _eventsPerSecond > 0.0
@@ -240,19 +239,17 @@ XProGenerator::setEventRate(double events_per_second)
 }
 
 LambdaCut
-XProGenerator::cutAt(double lambda) const
+XProGenerator::cutAt(double lambda)
 {
     xproAssert(lambda >= 0.0, "negative lambda %f", lambda);
     SweepNetwork &sweep = this->sweep();
     for (const SweepNetwork::SweepEdge &edge : sweep.edges) {
-        sweep.net.updateCapacity(
-            edge.id, edge.energyJ + lambda * edge.delaySec);
+        sweep.net.setCapacity(edge.id,
+                              edge.energyJ + lambda * edge.delaySec);
     }
-    sweep.lambda = lambda;
     ++_warmSolves;
 
-    const MinCutResult cut =
-        sweep.net.resumeMinCut(nodeF, nodeB, false);
+    const MinCutResult cut = sweep.net.minCut(nodeF, nodeB);
 
     LambdaCut result;
     result.cutValue = cut.value;
@@ -282,7 +279,7 @@ XProGenerator::setAggregatorEnergyWeight(double weight)
 }
 
 Placement
-XProGenerator::minimumEnergyPlacement() const
+XProGenerator::minimumEnergyPlacement()
 {
     return cutAt(0.0).placement;
 }
@@ -341,7 +338,7 @@ XProGenerator::delayLimit() const
 }
 
 PartitionResult
-XProGenerator::generate() const
+XProGenerator::generate()
 {
     const Time limit = delayLimit();
 
@@ -361,9 +358,9 @@ XProGenerator::generate() const
         // Lagrangian sweep: penalize delay with growing lambda
         // (joules per second) until feasible cuts appear; keep the
         // cheapest feasible placement found. The cut solves run
-        // sequentially — each warm-starts from the previous
-        // lambda's flow — and the per-candidate true-delay check
-        // and objective fan out over the sweep worker pool.
+        // sequentially on the one persistent network, and the
+        // per-candidate true-delay check and objective fan out over
+        // the sweep worker pool.
         std::vector<Placement> candidates;
         for (double lambda = 1e-10; lambda <= 1e4; lambda *= 1.3)
             candidates.push_back(cutAt(lambda).placement);

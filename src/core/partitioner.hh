@@ -62,8 +62,8 @@ struct GeneratorOptions
     /**
      * Worker threads evaluating the Lagrangian sweep's candidate
      * placements (true-delay feasibility + objective). The cut
-     * solves themselves stay sequential — they warm-start each
-     * other — and the result is index-keyed, so the generated
+     * solves themselves stay sequential — they share one flow
+     * network — and the result is index-keyed, so the generated
      * design is identical for any worker count. 0 and 1 both run
      * inline on the calling thread.
      */
@@ -98,13 +98,13 @@ struct PartitionResult
 /**
  * The Automatic XPro Generator.
  *
- * A generator instance owns one warm-started s-t flow network: the
+ * A generator instance owns one persistent s-t flow network: the
  * first cut solve builds it, and every later solve (another lambda
  * of the delay sweep, or a tightened admission penalty via
- * setAggregatorEnergyWeight()) only updates edge capacities and
- * resumes from the previous feasible flow. Solves on one instance
- * are therefore stateful and NOT safe to run concurrently; use one
- * generator per thread (as the fleet design phase does).
+ * setAggregatorEnergyWeight()) only re-prices edge capacities and
+ * runs Dinic from zero flow on the same graph. Solves mutate the
+ * instance and are NOT safe to run concurrently; use one generator
+ * per thread (as the fleet design phase does).
  */
 class XProGenerator
 {
@@ -118,31 +118,30 @@ class XProGenerator
     /**
      * Unconstrained minimum-energy placement via min s-t cut.
      */
-    Placement minimumEnergyPlacement() const;
+    Placement minimumEnergyPlacement();
 
     /**
      * Min cut of the graph with capacities energy + lambda * delay.
-     * Warm-started: successive calls reuse the instance's flow
-     * network and prior flow, returning results identical to a
-     * cold solve at every lambda (property-tested).
+     * Successive calls re-price the instance's flow network instead
+     * of rebuilding it, returning results identical to a freshly
+     * built network at every lambda (property-tested).
      */
-    LambdaCut cutAt(double lambda) const;
+    LambdaCut cutAt(double lambda);
 
     /**
      * Tighten (or relax) the aggregator-energy penalty without
-     * discarding the warm flow network: only the penalty edges'
-     * capacities change, so the admission loop's re-cuts resume
-     * from the previous round's flow.
+     * rebuilding the flow network: only the penalty edges'
+     * capacities change before the admission loop's next cut.
      */
     void setAggregatorEnergyWeight(double weight);
 
     /**
      * Scale every transfer edge's energy term (tx, rx and the
-     * result transfer) by @p scale without discarding the warm flow
+     * result transfer) by @p scale without rebuilding the flow
      * network. The online controller sets the scale to the observed
      * mean ARQ attempts per packet, so a degrading Gilbert-Elliott
      * channel prices wireless crossings at their effective (retried)
-     * cost and the warm re-cut migrates cells back into the sensor.
+     * cost and the re-cut migrates cells back into the sensor.
      * 1.0 restores the nominal expectation-level link.
      */
     void setTransferEnergyScale(double scale);
@@ -150,9 +149,9 @@ class XProGenerator
     /**
      * Re-amortize every cell's standby share at a new observed
      * event rate (cell edges: execution energy + standby / rate)
-     * without discarding the warm flow network. Rate drift changes
-     * the execution-vs-standby balance the cut trades off; the next
-     * cutAt()/generate() resumes from the previous flow. Cells whose
+     * without rebuilding the flow network. Rate drift changes the
+     * execution-vs-standby balance the cut trades off; the next
+     * cutAt()/generate() sees the re-amortized capacities. Cells whose
      * CellCosts carry no separate standby power (hand-built
      * fixtures) keep their built-in sensorEnergy.
      */
@@ -160,9 +159,9 @@ class XProGenerator
 
     /**
      * Solve accounting for the runtime-adaptive controller's
-     * steady-state gate: networks built from scratch vs. cuts
-     * resumed on the persistent network. A controller that keeps
-     * one generator alive sees coldSolves() == 1 forever.
+     * steady-state gate: coldSolves() counts networks built,
+     * warmSolves() counts cuts on the built network. A controller
+     * that keeps one generator alive sees coldSolves() == 1 forever.
      */
     size_t coldSolves() const { return _coldSolves; }
     size_t warmSolves() const { return _warmSolves; }
@@ -171,7 +170,7 @@ class XProGenerator
      * Full generation with the paper's delay constraint
      * T <= min(T_F, T_B).
      */
-    PartitionResult generate() const;
+    PartitionResult generate();
 
     /**
      * Exhaustive oracle for small topologies (tests): enumerate all
@@ -192,14 +191,14 @@ class XProGenerator
     Energy objective(const Placement &placement) const;
 
   private:
-    /** The warm-started s-t graph (built on first use). */
+    /** The persistent s-t graph (built on first use). */
     struct SweepNetwork;
 
-    SweepNetwork &sweep() const;
+    SweepNetwork &sweep();
     /** Re-price the sweep's transfer edges at _transferScale. */
-    void applyTransferScale() const;
+    void applyTransferScale();
     /** Re-amortize the sweep's cell standby at _eventsPerSecond. */
-    void applyEventRate() const;
+    void applyEventRate();
 
     const EngineTopology &_topology;
     const WirelessLink &_link;
@@ -207,9 +206,9 @@ class XProGenerator
     /** Runtime-adaptation state (applied to the sweep's edges). */
     double _transferScale = 1.0;
     double _eventsPerSecond = 0.0; ///< 0 = topology's design rate
-    mutable std::unique_ptr<SweepNetwork> _sweep;
-    mutable size_t _coldSolves = 0;
-    mutable size_t _warmSolves = 0;
+    std::unique_ptr<SweepNetwork> _sweep;
+    size_t _coldSolves = 0;
+    size_t _warmSolves = 0;
 };
 
 } // namespace xpro

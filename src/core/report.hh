@@ -164,7 +164,7 @@ struct ControlReport
     size_t dwellHolds = 0;
     /** Flow networks built from scratch by the generator. */
     size_t coldSolves = 0;
-    /** Warm cut re-solves on the persistent network. */
+    /** Cuts solved on the persistent network. */
     size_t warmSolves = 0;
     /** Total handover energy charged to the sensor battery. */
     double handoverTotalUj = 0.0;

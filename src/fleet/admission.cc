@@ -112,8 +112,7 @@ admitFleet(const std::vector<AdmissionCandidate> &candidates,
             // growing aggregator-energy penalty, pulling cells back
             // into the sensor. One generator serves every round:
             // only the penalty edges' capacities change between
-            // rounds, so each re-cut warm-starts from the previous
-            // round's flow.
+            // rounds, so each re-cut re-prices the same network.
             admission.outcome = AdmissionOutcome::InSensor;
             XProGenerator generator(*candidate.topology, link);
             double weight = config.initialPenalty;

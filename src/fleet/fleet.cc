@@ -384,7 +384,13 @@ class FleetSimulator
                     });
             }
         }
-        _queue.runAll(4000000);
+        // Runaway-loop guard sized from the offered work: each event
+        // completes every cell once and moves every payload group
+        // through a bounded number of ARQ attempts, so a sane run
+        // stays far below the cap and a looping one still trips it.
+        const size_t per_event = 64 * (_maxGraphNodes + _maxGroups);
+        _queue.runAll(std::max<size_t>(
+            4000000, _members.size() * _eventsPerNode * per_event));
 
         if (_faults) {
             RobustnessReport &stats = _faults->stats();

@@ -315,6 +315,10 @@ struct PopulationArchetype
  */
 std::vector<PopulationArchetype> syntheticArchetypes();
 
+/** Largest PopulationFleetConfig::eventsPerNode: the timing wheel
+ *  packs the event index into the low 24 bits of an item's data. */
+constexpr uint64_t kMaxPopulationEventsPerNode = (uint64_t{1} << 24) - 1;
+
 /** Configuration of one population-scale run. */
 struct PopulationFleetConfig
 {
@@ -326,7 +330,8 @@ struct PopulationFleetConfig
     /** Worker threads draining the shards. Any value yields
      *  byte-identical reports (tested). */
     size_t workers = 1;
-    /** Sensed events per node. */
+    /** Sensed events per node, at most
+     *  kMaxPopulationEventsPerNode. */
     uint64_t eventsPerNode = 2;
     /** Phase-stagger seed (nodes must not inject in lockstep). */
     uint64_t seed = 2017;

@@ -45,6 +45,8 @@ enum : uint32_t
  *  above (an event is deferred at most a handful of windows). */
 constexpr uint32_t kEventBits = 24;
 constexpr uint32_t kEventMask = (uint32_t(1) << kEventBits) - 1;
+static_assert(kEventMask == kMaxPopulationEventsPerNode,
+              "the event field bounds eventsPerNode");
 
 uint32_t
 packData(uint64_t event, uint32_t defers)

@@ -39,7 +39,6 @@ FlowNetwork::addEdge(size_t u, size_t v, double capacity)
     _edges.push_back({u, 0.0, 0.0});
     _adjacency[u].push_back(id);
     _adjacency[v].push_back(id + 1);
-    _residualLevelsValid = false;
     return id / 2;
 }
 
@@ -77,9 +76,7 @@ FlowNetwork::buildLevels(size_t s, size_t t)
     for (size_t head = 0; head < _frontier.size(); ++head) {
         const size_t u = _frontier[head];
         // Once t is leveled, nodes at t's level or deeper cannot lie
-        // on a shortest augmenting path, so stop expanding. A failed
-        // BFS never takes this exit and still explores the full
-        // residual source side (which classifySourceSide() reuses).
+        // on a shortest augmenting path, so stop expanding.
         if (_level[t] >= 0 && _level[u] >= _level[t])
             break;
         for (size_t edge_id : _adjacency[u]) {
@@ -117,10 +114,15 @@ FlowNetwork::sendBlocking(size_t u, size_t t, double pushed)
 }
 
 double
-FlowNetwork::augment(size_t s, size_t t)
+FlowNetwork::maxFlow(size_t s, size_t t)
 {
+    xproAssert(s < _adjacency.size() && t < _adjacency.size(),
+               "terminal out of range");
+    xproAssert(s != t, "source and sink must differ");
+    for (Edge &e : _edges)
+        e.flow = 0.0;
+
     double total = 0.0;
-    _residualLevelsValid = false;
     while (buildLevels(s, t)) {
         _iter.assign(_adjacency.size(), 0);
         while (true) {
@@ -137,195 +139,40 @@ FlowNetwork::augment(size_t s, size_t t)
             }
         }
     }
-    // The failed BFS that ended the loop visited exactly the nodes
-    // with residual capacity from s: _level doubles as the canonical
-    // cut's source side until the flow changes again.
-    _residualLevelsValid = true;
     return total;
 }
 
-double
-FlowNetwork::maxFlow(size_t s, size_t t)
+void
+FlowNetwork::setCapacity(size_t edge_id, double capacity)
 {
-    for (Edge &e : _edges)
-        e.flow = 0.0;
-    _solved = false;
-    return resumeMaxFlow(s, t);
+    xproAssert(2 * edge_id < _edges.size(), "edge id out of range");
+    xproAssert(capacity >= 0.0, "negative capacity %f", capacity);
+    _edges[2 * edge_id].capacity = capacity;
 }
 
-double
-FlowNetwork::resumeMaxFlow(size_t s, size_t t)
+MinCutResult
+FlowNetwork::minCut(size_t s, size_t t)
 {
-    xproAssert(s < _adjacency.size() && t < _adjacency.size(),
-               "terminal out of range");
-    xproAssert(s != t, "source and sink must differ");
-    xproAssert(!_solved || (_lastSource == s && _lastSink == t),
-               "warm resume must keep the terminals of the last "
-               "solve");
-    _solved = true;
-    _lastSource = s;
-    _lastSink = t;
+    MinCutResult result;
+    result.value = maxFlow(s, t);
 
-    const double carried = flowValue(s);
-    const double grown = augment(s, t);
-    if (std::isinf(grown))
-        return grown;
-    return carried + grown;
-}
-
-double
-FlowNetwork::flowValue(size_t s) const
-{
-    // Every edge id in s's adjacency is either a forward edge out of
-    // s (flow counted positive) or the reverse twin of an edge into
-    // s (flow stored negated), so the plain sum is outflow - inflow.
-    double value = 0.0;
-    for (size_t edge_id : _adjacency[s])
-        value += _edges[edge_id].flow;
-    return value;
-}
-
-double
-FlowNetwork::pushResidual(size_t from, size_t to, double amount)
-{
-    double remaining = amount;
-    std::vector<size_t> parent(_adjacency.size());
-    while (remaining > residualEpsilon) {
-        // BFS for any residual path from -> to.
-        parent.assign(_adjacency.size(),
-                      std::numeric_limits<size_t>::max());
-        _frontier.clear();
-        parent[from] = 0; // sentinel: visited, no parent edge
-        _frontier.push_back(from);
-        bool reached = (from == to);
-        for (size_t head = 0;
-             head < _frontier.size() && !reached; ++head) {
-            const size_t u = _frontier[head];
-            for (size_t edge_id : _adjacency[u]) {
-                const Edge &e = _edges[edge_id];
-                if (parent[e.to] !=
-                        std::numeric_limits<size_t>::max() ||
-                    e.to == from ||
-                    e.capacity - e.flow <= residualEpsilon) {
-                    continue;
-                }
-                parent[e.to] = edge_id;
-                if (e.to == to) {
-                    reached = true;
-                    break;
-                }
+    // Source side = nodes reachable from s through residual capacity.
+    result.sourceSide.assign(_adjacency.size(), false);
+    _frontier.clear();
+    result.sourceSide[s] = true;
+    _frontier.push_back(s);
+    for (size_t head = 0; head < _frontier.size(); ++head) {
+        const size_t u = _frontier[head];
+        for (size_t edge_id : _adjacency[u]) {
+            const Edge &e = _edges[edge_id];
+            if (!result.sourceSide[e.to] &&
+                e.capacity - e.flow > residualEpsilon) {
+                result.sourceSide[e.to] = true;
                 _frontier.push_back(e.to);
             }
         }
-        if (!reached)
-            break;
-
-        double bottleneck = remaining;
-        for (size_t v = to; v != from;) {
-            const Edge &e = _edges[parent[v]];
-            bottleneck =
-                std::min(bottleneck, e.capacity - e.flow);
-            v = _edges[parent[v] ^ 1].to;
-        }
-        for (size_t v = to; v != from;) {
-            const size_t edge_id = parent[v];
-            _edges[edge_id].flow += bottleneck;
-            _edges[edge_id ^ 1].flow -= bottleneck;
-            v = _edges[edge_id ^ 1].to;
-        }
-        remaining -= bottleneck;
-    }
-    return amount - remaining;
-}
-
-void
-FlowNetwork::updateCapacity(size_t edge_id, double new_capacity)
-{
-    xproAssert(2 * edge_id < _edges.size(), "edge id out of range");
-    xproAssert(new_capacity >= 0.0, "negative capacity %f",
-               new_capacity);
-    Edge &forward = _edges[2 * edge_id];
-    const double excess = forward.flow - new_capacity;
-    if (forward.capacity != new_capacity)
-        _residualLevelsValid = false;
-    forward.capacity = new_capacity;
-    if (excess <= residualEpsilon)
-        return;
-
-    // The edge now carries more flow than it may: lower its flow by
-    // the excess and repair conservation. Removing `excess` from
-    // u -> v leaves u with surplus inflow and v short of inflow. By
-    // flow decomposition the excess sits on source -> sink paths
-    // through u -> v and on flow cycles through u -> v (cycles
-    // arise once earlier repairs have pulled flow backwards), so
-    // the repair has two parts: reroute as much as possible from u
-    // straight back to v through the residual graph (cancels the
-    // cyclic share at unchanged flow value), then drain the path
-    // share from u to the source and pull the sink's intake back to
-    // v (drops the value by that share). Either way the result is a
-    // feasible flow for resumeMinCut() to grow again.
-    xproAssert(_solved,
-               "capacity decrease below flow requires a prior solve");
-    const size_t u = _edges[2 * edge_id + 1].to;
-    const size_t v = forward.to;
-    forward.flow -= excess;
-    _edges[2 * edge_id + 1].flow += excess;
-
-    double surplus = excess; // unmatched inflow at u
-    double deficit = excess; // missing inflow at v
-    const bool u_free = u == _lastSource || u == _lastSink;
-    const bool v_free = v == _lastSource || v == _lastSink;
-    if (!u_free && !v_free && surplus > residualEpsilon) {
-        const double rerouted = pushResidual(u, v, surplus);
-        surplus -= rerouted;
-        deficit -= rerouted;
-    }
-    if (!u_free && surplus > residualEpsilon) {
-        surplus -= pushResidual(u, _lastSource, surplus);
-        if (surplus > residualEpsilon)
-            surplus -= pushResidual(u, _lastSink, surplus);
-        xproAssert(surplus <= 1e-9 * (1.0 + excess),
-                   "failed to drain %f of surplus flow", surplus);
-    }
-    if (!v_free && deficit > residualEpsilon) {
-        deficit -= pushResidual(_lastSink, v, deficit);
-        if (deficit > residualEpsilon)
-            deficit -= pushResidual(_lastSource, v, deficit);
-        xproAssert(deficit <= 1e-9 * (1.0 + excess),
-                   "failed to pull back %f of sink flow", deficit);
-    }
-}
-
-void
-FlowNetwork::classifySourceSide(size_t s, MinCutResult &result,
-                                bool enumerate_cut_edges) const
-{
-    // Source side = nodes reachable from s through residual capacity.
-    result.sourceSide.assign(_adjacency.size(), false);
-    if (_residualLevelsValid) {
-        // augment()'s terminating BFS already computed reachability.
-        for (size_t u = 0; u < _level.size(); ++u)
-            result.sourceSide[u] = _level[u] >= 0;
-    } else {
-        std::vector<size_t> frontier;
-        frontier.reserve(_adjacency.size());
-        result.sourceSide[s] = true;
-        frontier.push_back(s);
-        for (size_t head = 0; head < frontier.size(); ++head) {
-            const size_t u = frontier[head];
-            for (size_t edge_id : _adjacency[u]) {
-                const Edge &e = _edges[edge_id];
-                if (!result.sourceSide[e.to] &&
-                    e.capacity - e.flow > residualEpsilon) {
-                    result.sourceSide[e.to] = true;
-                    frontier.push_back(e.to);
-                }
-            }
-        }
     }
 
-    if (!enumerate_cut_edges)
-        return;
     for (size_t id = 0; id < _edges.size(); id += 2) {
         const size_t u = _edges[id + 1].to;
         const size_t v = _edges[id].to;
@@ -334,24 +181,6 @@ FlowNetwork::classifySourceSide(size_t s, MinCutResult &result,
             result.cutEdges.push_back(id / 2);
         }
     }
-}
-
-MinCutResult
-FlowNetwork::minCut(size_t s, size_t t)
-{
-    MinCutResult result;
-    result.value = maxFlow(s, t);
-    classifySourceSide(s, result, true);
-    return result;
-}
-
-MinCutResult
-FlowNetwork::resumeMinCut(size_t s, size_t t,
-                          bool enumerate_cut_edges)
-{
-    MinCutResult result;
-    result.value = resumeMaxFlow(s, t);
-    classifySourceSide(s, result, enumerate_cut_edges);
     return result;
 }
 

@@ -8,16 +8,13 @@
  * partitioning to a min-cut on an s-t graph, which by max-flow/min-cut
  * duality is solved here in polynomial time.
  *
- * The network supports *warm-started* re-solves: the generator's
- * Lagrangian delay sweep and the fleet admission loop re-enter the
- * same graph with slightly perturbed capacities, so instead of
- * solving from zero every time, updateCapacity() keeps the current
- * flow feasible (cancelling excess flow when a capacity drops below
- * it) and resumeMaxFlow()/resumeMinCut() merely augment from there.
- * Because the set of nodes reachable from s in the residual graph of
- * *any* maximum flow is the same (the canonical minimum cut), warm
- * and cold solves classify nodes identically — the property-test
- * suite pins this down.
+ * The generator's Lagrangian delay sweep and the fleet admission
+ * loop re-enter one persistent graph with re-priced capacities:
+ * setCapacity() only rewrites a capacity, and every solve starts
+ * from zero flow. The set of nodes reachable from s in the residual
+ * graph of *any* maximum flow is the same (the canonical minimum
+ * cut), so a re-priced network classifies nodes exactly like a
+ * freshly built one — the property-test suite pins this down.
  */
 
 #ifndef XPRO_GRAPH_FLOW_NETWORK_HH
@@ -96,33 +93,10 @@ class FlowNetwork
     MinCutResult minCut(size_t s, size_t t);
 
     /**
-     * Change the capacity of a previously added edge, preserving a
-     * feasible flow. Raising a capacity leaves the flow untouched;
-     * lowering it below the edge's current flow cancels exactly the
-     * excess by rerouting it back to the terminals of the last
-     * solve, so resumeMaxFlow() can continue from the remaining
-     * flow instead of starting over.
+     * Change the capacity of a previously added edge. The next
+     * maxFlow()/minCut() solves the re-priced network from zero.
      */
-    void updateCapacity(size_t edge_id, double new_capacity);
-
-    /**
-     * Warm-started maximum flow: augment from the current feasible
-     * flow (as left by a previous solve plus any updateCapacity()
-     * calls) instead of resetting to zero. With no prior flow this
-     * is identical to maxFlow().
-     */
-    double resumeMaxFlow(size_t s, size_t t);
-
-    /**
-     * Warm-started minimum cut on top of resumeMaxFlow(). Callers
-     * that only need the node classification (the generator's
-     * lambda sweep) can skip the cut-edge enumeration.
-     */
-    MinCutResult resumeMinCut(size_t s, size_t t,
-                              bool enumerate_cut_edges = true);
-
-    /** Net flow currently leaving @p s (the last solve's value). */
-    double flowValue(size_t s) const;
+    void setCapacity(size_t edge_id, double capacity);
 
   private:
     struct Edge
@@ -134,10 +108,6 @@ class FlowNetwork
 
     bool buildLevels(size_t s, size_t t);
     double sendBlocking(size_t u, size_t t, double pushed);
-    double augment(size_t s, size_t t);
-    double pushResidual(size_t from, size_t to, double amount);
-    void classifySourceSide(size_t s, MinCutResult &result,
-                            bool enumerate_cut_edges) const;
 
     /** Forward/backward edge pairs at indices 2k / 2k+1. */
     std::vector<Edge> _edges;
@@ -146,16 +116,6 @@ class FlowNetwork
     std::vector<size_t> _iter;
     /** Reusable BFS frontier (head-indexed vector, no deque). */
     std::vector<size_t> _frontier;
-    /**
-     * True while _level still holds the residual reachability left
-     * by the last completed augment() — lets min-cut classification
-     * skip its own BFS. Any capacity or topology change clears it.
-     */
-    bool _residualLevelsValid = false;
-    /** Terminals of the last solve (for excess cancellation). */
-    bool _solved = false;
-    size_t _lastSource = 0;
-    size_t _lastSink = 0;
 };
 
 } // namespace xpro

@@ -234,7 +234,6 @@ class SystemSimulator
     struct Instance
     {
         std::optional<Time> resultAt;
-        Time injectedAt;
         /** Fault path: completion time of every node that started on
          *  the sensor end (source included), for the fallback DP. */
         std::vector<std::optional<Time>> sensorFinishAt;
@@ -271,15 +270,12 @@ class SystemSimulator
             } else {
                 exec = costs.aggregatorDelay;
             }
-        } else {
-            instance.injectedAt = _queue.now();
-            if (_faults) {
-                instance.sensorFinishAt[u] = _queue.now();
-                // Injected mid-outage: don't even try the link, go
-                // straight to the local fallback.
-                if (_degradedMode)
-                    degradeEvent(k);
-            }
+        } else if (_faults) {
+            instance.sensorFinishAt[u] = _queue.now();
+            // Injected mid-outage: don't even try the link, go
+            // straight to the local fallback.
+            if (_degradedMode)
+                degradeEvent(k);
         }
         // Pack (event, node) into one word so the capture fits the
         // std::function small-buffer slot (16 bytes with `this`):

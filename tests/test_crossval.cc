@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <set>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/random.hh"
@@ -137,8 +138,9 @@ TEST(CrossvalTest, CrossValidatedAccuracyOnSeparableData)
     LabeledData data;
     for (size_t i = 0; i < 60; ++i) {
         const bool positive = i % 2 == 0;
-        data.rows.push_back(
-            {data_rng.gaussian(positive ? 2.0 : -2.0, 0.4)});
+        const std::vector<double> row = {
+            data_rng.gaussian(positive ? 2.0 : -2.0, 0.4)};
+        data.rows.push_back(row);
         data.labels.push_back(positive ? 1 : -1);
     }
     SvmConfig config;

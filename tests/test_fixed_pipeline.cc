@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/random.hh"
@@ -56,8 +57,10 @@ TEST(FixedSvmTest, DecisionsAgreeWithDoubleModel)
     LabeledData data;
     for (int i = 0; i < 120; ++i) {
         const bool positive = i % 2 == 0;
-        data.rows.push_back({rng.gaussian(positive ? 0.7 : 0.3, 0.1),
-                             rng.gaussian(positive ? 0.3 : 0.7, 0.1)});
+        const std::vector<double> row = {
+            rng.gaussian(positive ? 0.7 : 0.3, 0.1),
+            rng.gaussian(positive ? 0.3 : 0.7, 0.1)};
+        data.rows.push_back(row);
         data.labels.push_back(positive ? 1 : -1);
     }
     SvmConfig config;
@@ -87,7 +90,9 @@ TEST(FixedSvmTest, DecisionValuesTrackDoubleModel)
     LabeledData data;
     for (int i = 0; i < 60; ++i) {
         const bool positive = i % 2 == 0;
-        data.rows.push_back({rng.gaussian(positive ? 0.8 : 0.2, 0.1)});
+        const std::vector<double> row = {
+            rng.gaussian(positive ? 0.8 : 0.2, 0.1)};
+        data.rows.push_back(row);
         data.labels.push_back(positive ? 1 : -1);
     }
     SvmConfig config;
@@ -95,9 +100,9 @@ TEST(FixedSvmTest, DecisionValuesTrackDoubleModel)
     const Svm model = Svm::train(data, config);
     const FixedSvm fixed(model);
     for (int i = 0; i < 50; ++i) {
-        const double x = rng.uniform(0.0, 1.0);
-        EXPECT_NEAR(fixed.decision({Fixed::fromDouble(x)}).toDouble(),
-                    model.decision({x}), 0.02);
+        const std::vector<double> x = {rng.uniform(0.0, 1.0)};
+        EXPECT_NEAR(fixed.decision({Fixed::fromDouble(x[0])}).toDouble(),
+                    model.decision(x), 0.02);
     }
 }
 
@@ -106,7 +111,9 @@ TEST(FixedSvmTest, LinearKernelIsRejected)
     Rng rng(2005);
     LabeledData data;
     for (int i = 0; i < 20; ++i) {
-        data.rows.push_back({rng.gaussian(i % 2 ? 1.0 : -1.0, 0.2)});
+        const std::vector<double> row = {
+            rng.gaussian(i % 2 ? 1.0 : -1.0, 0.2)};
+        data.rows.push_back(row);
         data.labels.push_back(i % 2 ? 1 : -1);
     }
     SvmConfig config;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/logging.hh"
 #include "ml/kernel.hh"
@@ -17,40 +18,53 @@ using namespace xpro;
 
 TEST(KernelTest, DotProduct)
 {
-    EXPECT_DOUBLE_EQ(dotProduct({1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}),
-                     32.0);
-    EXPECT_DOUBLE_EQ(dotProduct({}, {}), 0.0);
+    const std::vector<double> x = {1.0, 2.0, 3.0};
+    const std::vector<double> z = {4.0, 5.0, 6.0};
+    const std::vector<double> empty;
+    EXPECT_DOUBLE_EQ(dotProduct(x, z), 32.0);
+    EXPECT_DOUBLE_EQ(dotProduct(empty, empty), 0.0);
 }
 
 TEST(KernelTest, SquaredDistance)
 {
-    EXPECT_DOUBLE_EQ(squaredDistance({0.0, 0.0}, {3.0, 4.0}), 25.0);
-    EXPECT_DOUBLE_EQ(squaredDistance({1.0}, {1.0}), 0.0);
+    const std::vector<double> origin = {0.0, 0.0};
+    const std::vector<double> point = {3.0, 4.0};
+    const std::vector<double> one = {1.0};
+    EXPECT_DOUBLE_EQ(squaredDistance(origin, point), 25.0);
+    EXPECT_DOUBLE_EQ(squaredDistance(one, one), 0.0);
 }
 
 TEST(KernelTest, SizeMismatchPanics)
 {
-    EXPECT_THROW(dotProduct({1.0}, {1.0, 2.0}), PanicError);
-    EXPECT_THROW(squaredDistance({1.0}, {1.0, 2.0}), PanicError);
+    const std::vector<double> one = {1.0};
+    const std::vector<double> two = {1.0, 2.0};
+    EXPECT_THROW(dotProduct(one, two), PanicError);
+    EXPECT_THROW(squaredDistance(one, two), PanicError);
 }
 
 TEST(KernelTest, LinearKernelIsDotProduct)
 {
     Kernel k{KernelKind::Linear, 0.0};
-    EXPECT_DOUBLE_EQ(k({1.0, 2.0}, {3.0, 4.0}), 11.0);
+    const std::vector<double> x = {1.0, 2.0};
+    const std::vector<double> z = {3.0, 4.0};
+    EXPECT_DOUBLE_EQ(k(x, z), 11.0);
 }
 
 TEST(KernelTest, RbfAtZeroDistanceIsOne)
 {
     Kernel k{KernelKind::Rbf, 0.7};
-    EXPECT_DOUBLE_EQ(k({1.0, -2.0}, {1.0, -2.0}), 1.0);
+    const std::vector<double> x = {1.0, -2.0};
+    EXPECT_DOUBLE_EQ(k(x, x), 1.0);
 }
 
 TEST(KernelTest, RbfDecaysWithDistance)
 {
     Kernel k{KernelKind::Rbf, 0.5};
-    const double near = k({0.0}, {0.5});
-    const double far = k({0.0}, {2.0});
+    const std::vector<double> origin = {0.0};
+    const std::vector<double> near_point = {0.5};
+    const std::vector<double> far_point = {2.0};
+    const double near = k(origin, near_point);
+    const double far = k(origin, far_point);
     EXPECT_GT(near, far);
     EXPECT_NEAR(near, std::exp(-0.5 * 0.25), 1e-12);
     EXPECT_NEAR(far, std::exp(-0.5 * 4.0), 1e-12);
@@ -60,7 +74,9 @@ TEST(KernelTest, RbfGammaControlsWidth)
 {
     Kernel narrow{KernelKind::Rbf, 5.0};
     Kernel wide{KernelKind::Rbf, 0.1};
-    EXPECT_LT(narrow({0.0}, {1.0}), wide({0.0}, {1.0}));
+    const std::vector<double> origin = {0.0};
+    const std::vector<double> unit = {1.0};
+    EXPECT_LT(narrow(origin, unit), wide(origin, unit));
 }
 
 TEST(KernelTest, RbfIsSymmetric)

@@ -33,7 +33,8 @@ randomTopology(Rng &rng)
     std::vector<size_t> feature_nodes;
     for (size_t i = 0; i < features; ++i) {
         CellSpec spec;
-        spec.name = "f" + std::to_string(i);
+        spec.name = "f";
+        spec.name += std::to_string(i);
         spec.sensorNj = rng.uniform(20.0, 3000.0);
         spec.aggregatorNj = rng.uniform(100.0, 5000.0);
         spec.sensorUs = rng.uniform(10.0, 400.0);
@@ -45,7 +46,8 @@ randomTopology(Rng &rng)
     std::vector<size_t> svm_nodes;
     for (size_t i = 0; i < svms; ++i) {
         CellSpec spec;
-        spec.name = "s" + std::to_string(i);
+        spec.name = "s";
+        spec.name += std::to_string(i);
         spec.sensorNj = rng.uniform(50.0, 4000.0);
         spec.aggregatorNj = rng.uniform(100.0, 5000.0);
         spec.sensorUs = rng.uniform(10.0, 400.0);
@@ -120,7 +122,7 @@ TEST(PartitionerTest, CutValueEqualsEnergyModel)
     Rng rng(901);
     for (int trial = 0; trial < 40; ++trial) {
         const EngineTopology topo = randomTopology(rng);
-        const XProGenerator gen(topo, link2);
+        XProGenerator gen(topo, link2);
         const Placement p = gen.minimumEnergyPlacement();
         // The induced placement's modeled energy must equal the
         // energy of the best placement found exhaustively (the cut
@@ -166,7 +168,7 @@ TEST(PartitionerTest, GenerateMeetsDelayLimit)
     Rng rng(905);
     for (int trial = 0; trial < 30; ++trial) {
         const EngineTopology topo = randomTopology(rng);
-        const XProGenerator gen(topo, link2);
+        XProGenerator gen(topo, link2);
         const PartitionResult result = gen.generate();
         EXPECT_LE(result.delay.total().us(),
                   result.delayLimit.us() + 1e-6)
@@ -177,7 +179,7 @@ TEST(PartitionerTest, GenerateMeetsDelayLimit)
 TEST(PartitionerTest, DelayLimitIsMinOfSingleEnds)
 {
     const EngineTopology topo = chainTopology(100, 200, 50, 4096);
-    const XProGenerator gen(topo, link2);
+    XProGenerator gen(topo, link2);
     const Time t_sensor =
         eventDelay(topo, Placement::allInSensor(topo), link2)
             .total();
@@ -193,7 +195,7 @@ TEST(PartitionerTest, ConstrainedResultMatchesOracleEnergy)
     Rng rng(907);
     for (int trial = 0; trial < 25; ++trial) {
         const EngineTopology topo = randomTopology(rng);
-        const XProGenerator gen(topo, link2);
+        XProGenerator gen(topo, link2);
         const PartitionResult result = gen.generate();
         const Placement oracle =
             gen.exhaustiveOptimum(result.delayLimit);

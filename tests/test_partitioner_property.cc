@@ -48,7 +48,8 @@ randomDag(Rng &rng)
     std::vector<bool> has_consumer;
     for (size_t i = 0; i < cells; ++i) {
         CellSpec spec;
-        spec.name = "c" + std::to_string(i);
+        spec.name = "c";
+        spec.name += std::to_string(i);
         spec.sensorNj = rng.uniform(10.0, 4000.0);
         spec.aggregatorNj = rng.uniform(50.0, 6000.0);
         spec.sensorUs = rng.uniform(5.0, 400.0);
@@ -120,7 +121,7 @@ TEST_P(GeneratorPropertyTest, CutCapacityEqualsSensorEnergy)
 {
     Rng rng(GetParam());
     const EngineTopology topo = randomDag(rng);
-    const XProGenerator gen(topo, link2);
+    XProGenerator gen(topo, link2);
     const LambdaCut cut = gen.cutAt(0.0);
     const double modeled =
         sensorEventEnergy(topo, cut.placement, link2).total().j();
@@ -129,7 +130,7 @@ TEST_P(GeneratorPropertyTest, CutCapacityEqualsSensorEnergy)
 
     GeneratorOptions options;
     options.aggregatorEnergyWeight = 0.7;
-    const XProGenerator penalized(topo, link2, options);
+    XProGenerator penalized(topo, link2, options);
     const LambdaCut pcut = penalized.cutAt(0.0);
     const double pobjective =
         penalized.objective(pcut.placement).j();
@@ -146,7 +147,7 @@ TEST_P(GeneratorPropertyTest, MatchesExhaustiveEnumeration)
     Rng rng(GetParam() + 100);
     const EngineTopology topo = randomDag(rng);
     ASSERT_LE(topo.graph.cellCount(), 12u);
-    const XProGenerator gen(topo, link2);
+    XProGenerator gen(topo, link2);
     const Placement via_cut = gen.minimumEnergyPlacement();
     const Placement oracle =
         gen.exhaustiveOptimum(Time::hours(1.0), 12);
@@ -169,7 +170,7 @@ TEST_P(GeneratorPropertyTest, WarmSweepMatchesColdSolves)
     Rng rng(GetParam() + 200);
     const EngineTopology topo = randomDag(rng);
     for (bool descending : {false, true}) {
-        const XProGenerator warm_gen(topo, link2);
+        XProGenerator warm_gen(topo, link2);
         for (double lambda : lambdaSchedule(descending)) {
             const LambdaCut warm = warm_gen.cutAt(lambda);
             const LambdaCut cold =

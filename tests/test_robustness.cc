@@ -27,7 +27,7 @@ using xpro::test::chainTopology;
 void
 checkInvariants(const EngineTopology &topo, const WirelessLink &link)
 {
-    const XProGenerator gen(topo, link);
+    XProGenerator gen(topo, link);
     const PartitionResult result = gen.generate();
 
     // Delay limit respected.

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/random.hh"
@@ -21,11 +22,13 @@ linearlySeparable(Rng &rng, size_t per_class, double gap)
 {
     LabeledData data;
     for (size_t i = 0; i < per_class; ++i) {
-        data.rows.push_back({rng.gaussian(gap, 0.5),
-                             rng.gaussian(gap, 0.5)});
+        const std::vector<double> positive = {rng.gaussian(gap, 0.5),
+                                              rng.gaussian(gap, 0.5)};
+        data.rows.push_back(positive);
         data.labels.push_back(1);
-        data.rows.push_back({rng.gaussian(-gap, 0.5),
-                             rng.gaussian(-gap, 0.5)});
+        const std::vector<double> negative = {rng.gaussian(-gap, 0.5),
+                                              rng.gaussian(-gap, 0.5)};
+        data.rows.push_back(negative);
         data.labels.push_back(-1);
     }
     return data;
@@ -41,10 +44,11 @@ xorData(Rng &rng, size_t per_cluster)
     };
     for (int c = 0; c < 4; ++c) {
         for (size_t i = 0; i < per_cluster; ++i) {
-            data.rows.push_back({
+            const std::vector<double> row = {
                 centers[c][0] + 0.2 * rng.gaussian(),
                 centers[c][1] + 0.2 * rng.gaussian(),
-            });
+            };
+            data.rows.push_back(row);
             data.labels.push_back(c < 2 ? 1 : -1);
         }
     }
@@ -157,7 +161,8 @@ TEST(SvmTest, DimensionMismatchPanics)
     const LabeledData data = linearlySeparable(rng, 10, 2.0);
     SvmConfig config;
     const Svm model = Svm::train(data, config);
-    EXPECT_THROW(model.decision({1.0, 2.0, 3.0}), PanicError);
+    const std::vector<double> too_wide = {1.0, 2.0, 3.0};
+    EXPECT_THROW(model.decision(too_wide), PanicError);
 }
 
 TEST(SvmTest, DeterministicTraining)

@@ -513,7 +513,8 @@ main(int argc, char **argv)
             else if (arg == "--policy")
                 policy = parsePolicy(value());
             else if (arg == "--events")
-                events = parsePositiveArg(value(), "--events");
+                events = parseBoundedArg(value(), "--events",
+                                         kMaxPopulationEventsPerNode);
             else if (arg == "--serve-events")
                 serve_events =
                     parseCountArg(value(), "--serve-events");
