@@ -29,7 +29,7 @@
 #include "core/placement.hh"
 #include "core/topology.hh"
 #include "fleet/fleet.hh"
-#include "fleet/radio_sched.hh"
+#include "sim/radio_sched.hh"
 #include "wireless/link.hh"
 
 using namespace xpro;

@@ -13,20 +13,25 @@
  *  2. Admission. The per-node cuts are admitted against the shared
  *     aggregator's CPU and power budget (fleet/admission); nodes
  *     that do not fit are re-partitioned toward the sensor.
- *  3. Event simulation. All nodes stream segments through one
- *     event queue: sensor-side cells run in parallel (every node
- *     owns its silicon), but inter-end payloads serialize over one
- *     half-duplex radio channel under a pluggable arbitration
- *     policy (fleet/radio_sched), and aggregator-side cells
- *     serialize on the single aggregator CPU. Per-node deadline
- *     misses, radio occupancy and aggregator utilization fall out.
+ *  3. Event simulation on the detailed event simulator
+ *     (sim/system_sim, the same one a single-node run uses): all
+ *     nodes stream segments through one event queue. Sensor-side
+ *     cells run in parallel (every node owns its silicon), but
+ *     inter-end payloads serialize over one half-duplex radio
+ *     channel under a pluggable arbitration policy
+ *     (sim/radio_sched), and aggregator-side cells serialize on the
+ *     single aggregator CPU. Per-node deadline misses, radio
+ *     occupancy and aggregator utilization fall out.
  *  4. Serving (optional, FleetConfig::servingEvents > 0). The
  *     trained pipelines classify a deterministic round-robin
  *     stream of segments through the allocation-free SIMD hot path
  *     (serve/), batched across users; per-node prediction counts
  *     land in the report's serving section.
  *
- * Results surface as a FleetReport (core/report).
+ * Results surface as a FleetReport (core/report). FleetMember,
+ * NodeOutage, MemberSimResult, FleetSimResult and simulateFleet are
+ * declared with the simulator in sim/system_sim.hh and reach fleet
+ * users through this header.
  */
 
 #ifndef XPRO_FLEET_FLEET_HH
@@ -42,9 +47,9 @@
 #include "data/testcases.hh"
 #include "fleet/admission.hh"
 #include "fleet/chaos.hh"
-#include "fleet/radio_sched.hh"
 #include "fleet/tiers.hh"
 #include "common/worker_pool.hh"
+#include "sim/system_sim.hh"
 #include "wireless/fault.hh"
 
 namespace xpro
@@ -68,22 +73,6 @@ enum class RadioPolicy
 {
     Fcfs,
     Tdma,
-};
-
-/**
- * Scripted dropout of one fleet node: every packet the node offers
- * (or is offered) during [start, end) is lost, deterministic and
- * independent of the stochastic channel. Models one body walking
- * out of range while the rest of the fleet keeps operating; the
- * bounded ARQ keeps each of the dead node's packets on the channel
- * for a bounded time, so FCFS/TDMA arbitration never stalls on it.
- */
-struct NodeOutage
-{
-    /** Index into FleetConfig::nodes. */
-    size_t node = 0;
-    Time start;
-    Time end;
 };
 
 /** Full configuration of one fleet run. */
@@ -159,71 +148,6 @@ struct FleetConfig
  */
 std::vector<FleetNodeSpec> heterogeneousFleet(size_t count,
                                               uint64_t seed = 2017);
-
-/** One member of the event-level fleet simulation. */
-struct FleetMember
-{
-    EngineTopology topology;
-    Placement placement;
-    /** Event injection rate. */
-    double eventsPerSecond = 4.0;
-};
-
-/** Event-level outcome for one member. */
-struct MemberSimResult
-{
-    size_t events = 0;
-    /** Events finishing after the next segment was acquired. */
-    size_t deadlineMisses = 0;
-    Time meanLatency;
-    Time worstLatency;
-    /** Completion time of the member's first event. */
-    Time firstCompletion;
-    /** Events classified via the node's local fallback (only
-     *  nonzero in fault-injected runs). */
-    size_t degradedEvents = 0;
-};
-
-/** Event-level outcome of a fleet simulation. */
-struct FleetSimResult
-{
-    std::vector<MemberSimResult> members;
-    /** Simulated makespan (last completion). */
-    Time span;
-    /** Shared-channel busy time. */
-    Time radioBusy;
-    size_t transfers = 0;
-    /** Aggregator CPU busy time. */
-    Time aggregatorBusy;
-    /** Fleet-wide fault-injection outcome; disabled for fault-free
-     *  runs. */
-    RobustnessReport robustness;
-};
-
-/**
- * Simulate @p events_per_node events of every member, all sharing
- * one half-duplex radio (arbitrated by @p arbiter) and one
- * aggregator CPU. Deterministic for a fixed member order.
- */
-FleetSimResult simulateFleet(const std::vector<FleetMember> &members,
-                             const WirelessLink &link,
-                             const RadioArbiter &arbiter,
-                             size_t events_per_node);
-
-/**
- * Fault-injected fleet simulation: one Gilbert-Elliott loss chain
- * on the shared channel (draws consumed in deterministic event
- * order), bounded ARQ per transfer, a per-node outage detector with
- * local fallback, plus scripted per-node dropouts. A disabled
- * profile with no outages is exactly the overload above.
- */
-FleetSimResult simulateFleet(const std::vector<FleetMember> &members,
-                             const WirelessLink &link,
-                             const RadioArbiter &arbiter,
-                             size_t events_per_node,
-                             const FaultProfile &faults,
-                             const std::vector<NodeOutage>
-                                 &node_outages = {});
 
 /** Everything known about one node after a fleet run. */
 struct FleetNodeResult
@@ -318,6 +242,12 @@ std::vector<PopulationArchetype> syntheticArchetypes();
 /** Largest PopulationFleetConfig::eventsPerNode: the timing wheel
  *  packs the event index into the low 24 bits of an item's data. */
 constexpr uint64_t kMaxPopulationEventsPerNode = (uint64_t{1} << 24) - 1;
+
+/** Largest members x events-per-member of one detailed simulation
+ *  (simulateFleet, or a single-node fault-injected stream as one
+ *  member): the simulator reserves per-(member, event) dataflow
+ *  state up front, so the CLI rejects bigger runs at parse time. */
+constexpr uint64_t kMaxDetailedOfferedEvents = uint64_t{1} << 20;
 
 /** Configuration of one population-scale run. */
 struct PopulationFleetConfig

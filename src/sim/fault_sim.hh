@@ -1,14 +1,13 @@
 /**
  * @file
- * Fault-injected transfer machinery shared by the single-node system
- * simulator (sim/system_sim) and the fleet simulator (fleet/fleet):
+ * Fault-injected transfer machinery of the detailed event simulator
+ * (sim/system_sim), single node and fleet alike:
  *
  *  - FaultState: one seeded loss process plus the run's
  *    RobustnessReport counters.
  *  - runArq(): drives one packet through bounded stop-and-wait ARQ
- *    on top of whatever channel-granting host the simulator uses
- *    (the single-node FIFO radio or the fleet's arbitrated shared
- *    radio). Each attempt is a separate channel grant, so the
+ *    on top of the simulator's channel grant (its arbitrated
+ *    shared radio). Each attempt is a separate channel grant, so the
  *    channel is free for other traffic during ACK timeouts and
  *    backoff — which is also what keeps a dead node from stalling
  *    FCFS/TDMA arbitration.
@@ -82,9 +81,9 @@ struct ArqPacket
 };
 
 /**
- * How the host simulator grants its (possibly shared, possibly
- * arbitrated) channel to one transmission attempt: occupy the
- * channel for @p air, then call @p on_done.
+ * How the simulator grants its arbitrated channel to one
+ * transmission attempt: occupy the channel for @p air (labelled
+ * @p what in the trace), then call @p on_done.
  */
 using ChannelGrant =
     std::function<void(Time air, const std::string &what,

@@ -267,6 +267,52 @@ TEST(FleetSimTest, SingleMemberMatchesSingleNodeSimulator)
                 single.completion.ms(), 1e-9);
     EXPECT_EQ(fleet.members[0].deadlineMisses, 0u);
     EXPECT_EQ(fleet.transfers, 3 * single.transfers);
+
+    // The fault path agrees too: the same ARQ draws, outage
+    // detector, local fallback and recovery probes, counter for
+    // counter, over every preset and seed plus a scripted outage.
+    std::vector<FaultProfile> profiles;
+    for (const char *preset : {"mild", "bursty", "harsh"}) {
+        for (uint64_t seed = 1; seed <= 5; ++seed) {
+            FaultProfile profile = FaultProfile::preset(preset);
+            profile.seed = seed;
+            profiles.push_back(profile);
+        }
+    }
+    FaultProfile outage = FaultProfile::preset("bursty");
+    outage.outages.push_back(
+        {Time::millis(100.0), Time::millis(3000.0)});
+    profiles.push_back(outage);
+
+    const size_t events = 30;
+    for (size_t i = 0; i < profiles.size(); ++i) {
+        const FaultProfile &faults = profiles[i];
+        const StreamResult stream =
+            simulateStream(topology, members[0].placement, link2,
+                           members[0].eventsPerSecond, events, faults);
+        const FleetSimResult one =
+            simulateFleet(members, link2, fcfs, events, faults);
+        ASSERT_EQ(one.members.size(), 1u);
+        const MemberSimResult &member = one.members[0];
+        EXPECT_EQ(one.robustness.serialize(),
+                  stream.robustness.serialize())
+            << "profile " << i;
+        EXPECT_EQ(member.meanLatency.sec(), stream.meanLatency.sec())
+            << "profile " << i;
+        EXPECT_EQ(member.worstLatency.sec(),
+                  stream.worstLatency.sec())
+            << "profile " << i;
+        EXPECT_EQ(member.deadlineMisses, stream.deadlineMisses)
+            << "profile " << i;
+        EXPECT_EQ(member.degradedEvents, stream.degradedEvents)
+            << "profile " << i;
+    }
+    // The outage window must actually exercise the fallback path.
+    EXPECT_GT(simulateStream(topology, members[0].placement, link2,
+                             members[0].eventsPerSecond, events,
+                             outage)
+                  .degradedEvents,
+              0u);
 }
 
 TEST(FleetSimTest, TwoNodesContendOnTheSharedRadio)

@@ -189,6 +189,36 @@ TEST(SystemSimTest, RadioContentionDelaysParallelTransfers)
     EXPECT_EQ(sim.transfers, 2u);
 }
 
+TEST(SystemSimTest, ParallelAggregatorCellsMatchAnalyticExactly)
+{
+    // Two branches computed in parallel on the aggregator, fanning
+    // into an aggregator-side fusion. A single node's back-end cells
+    // run concurrently, as the analytic critical path assumes, so
+    // the simulated completion equals eventDelay() exactly.
+    MiniTopology mini(512);
+    CellSpec slow;
+    slow.aggregatorUs = 40.0;
+    CellSpec fast;
+    fast.aggregatorUs = 24.0;
+    CellSpec join;
+    join.aggregatorUs = 8.0;
+    const size_t a = mini.addCell(slow);
+    const size_t b = mini.addCell(fast);
+    const size_t fusion = mini.addCell(join);
+    mini.connect(DataflowGraph::sourceId, a);
+    mini.connect(DataflowGraph::sourceId, b);
+    mini.connect(a, fusion);
+    mini.connect(b, fusion);
+    const EngineTopology topo = mini.build(fusion);
+
+    const Placement p = Placement::allInAggregator(topo);
+    const SimResult sim = simulateEvent(topo, p, link2);
+    // One broadcast of the raw segment feeds both branches.
+    EXPECT_EQ(sim.transfers, 1u);
+    EXPECT_EQ(sim.completion.sec(),
+              eventDelay(topo, p, link2).total().sec());
+}
+
 TEST(SystemSimTest, TraceRecordsActivity)
 {
     const EngineTopology topo = chainTopology(100, 200, 50, 1024);

@@ -119,7 +119,9 @@ usage(const char *argv0)
         "                             (default 1; predictions "
         "identical at any value)\n"
         "  --events <n>               simulated events per fleet "
-        "node or fault-injected stream (default 6)\n"
+        "node or fault-injected stream (default 6;\n"
+        "                             fleet nodes x events at most "
+        "2^20)\n"
         "  --fault-profile <name>     fault injection preset: none, "
         "mild, bursty or harsh (default none)\n"
         "  --loss-burst <pGB>:<pBG>   Gilbert-Elliott good-to-bad / "
@@ -617,6 +619,20 @@ main(int argc, char **argv)
                   "schedule");
         if (chaos.enabled)
             chaos.validate();
+        // The detailed simulator reserves per-(member, event) state
+        // up front; a single-node fault-injected stream is one
+        // member.
+        const uint64_t detailed_members =
+            fleet_size > 0 ? fleet_size : (faults.enabled ? 1 : 0);
+        if (population_nodes == 0 &&
+            detailed_members * events > kMaxDetailedOfferedEvents) {
+            fatal("--events: %llu node(s) x %zu events exceeds the "
+                  "detailed simulator's bound of %llu",
+                  static_cast<unsigned long long>(detailed_members),
+                  events,
+                  static_cast<unsigned long long>(
+                      kMaxDetailedOfferedEvents));
+        }
         if (population_nodes > 0) {
             const int rc = runPopulationMode(
                 population_nodes, shards, workers, events, seed,
