@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "common/random.hh"
@@ -317,9 +318,12 @@ TEST(ShardedEventQueueTest, DropIfDiscardsTransportForDepartedNode)
         queue.shard(item.node % 4).schedule(item);
     }
     const uint32_t departed = 3;
-    const size_t dropped = queue.dropIf([&](const WheelItem &item) {
-        return item.node == departed && item.kind != 0;
-    });
+    // Every item of node n sits in shard n % 4: scan only shard 3.
+    const std::vector<uint8_t> source = {0, 0, 0, 1};
+    const size_t dropped =
+        queue.dropIf(source, [&](const WheelItem &item) {
+            return item.node == departed && item.kind != 0;
+        });
     EXPECT_EQ(dropped, 5u); // half of node 3's ten items are kind 1
     EXPECT_EQ(queue.pending(), 35u);
     size_t departed_pops = 0;
@@ -348,7 +352,9 @@ TEST(ShardedEventQueueTest, RekeyIfMovesItemsAcrossShardsAndTicks)
         item.data = i;
         queue.shard(item.node % 4).schedule(item);
     }
+    const std::vector<uint8_t> source = {0, 0, 1, 0};
     const size_t moved = queue.rekeyIf(
+        source,
         [&](const WheelItem &item) { return item.node == mover; },
         [&](WheelItem &item) {
             item.at += 2500; // into a later window
@@ -386,7 +392,9 @@ TEST(ShardedEventQueueTest, RekeyIfAppliesOnceWhenTargetStillMatches)
         queue.shard(i % 2).schedule(item);
     }
     size_t calls = 0;
+    const std::vector<uint8_t> source = {1, 1};
     const size_t moved = queue.rekeyIf(
+        source,
         [](const WheelItem &item) { return item.node == 7; },
         [&](WheelItem &item) {
             ++calls;
@@ -396,6 +404,44 @@ TEST(ShardedEventQueueTest, RekeyIfAppliesOnceWhenTargetStillMatches)
     EXPECT_EQ(moved, 8u);
     EXPECT_EQ(calls, 8u);
     EXPECT_EQ(queue.pending(), 8u);
+}
+
+TEST(ShardedEventQueueTest, ShardMaskLimitsDropAndRekeyToFlaggedShards)
+{
+    // The mask is the caller's promise of where matches live, and
+    // the queue takes it literally: a matching item in an unflagged
+    // shard is neither dropped nor re-keyed.
+    ShardedEventQueue queue(3, 1000);
+    for (uint32_t s = 0; s < 3; ++s) {
+        WheelItem item;
+        item.at = 10 + s;
+        item.node = 5;
+        item.kind = 1;
+        item.data = s;
+        queue.shard(s).schedule(item);
+    }
+    const auto matches = [](const WheelItem &item) {
+        return item.node == 5;
+    };
+    EXPECT_EQ(queue.dropIf(std::vector<uint8_t>{0, 1, 0}, matches),
+              1u);
+    EXPECT_EQ(queue.pending(), 2u);
+    EXPECT_EQ(queue.rekeyIf(std::vector<uint8_t>{1, 0, 0}, matches,
+                            [](WheelItem &) { return size_t(1); }),
+              1u);
+    std::vector<std::pair<size_t, uint32_t>> pops;
+    WorkerPool pool(1);
+    queue.run(pool,
+              [&](size_t s, const WheelItem &item) {
+                  pops.push_back({s, item.data});
+              },
+              [](uint64_t, uint64_t) {});
+    std::sort(pops.begin(), pops.end());
+    // Shard 0's item moved to shard 1; shard 2's item, unflagged in
+    // both passes, stayed where it was.
+    const std::vector<std::pair<size_t, uint32_t>> expected = {
+        {1, 0}, {2, 2}};
+    EXPECT_EQ(pops, expected);
 }
 
 } // namespace

@@ -301,6 +301,66 @@ TEST(StatsDeterminismTest, PopulationStableSnapshotIsShardInvariant)
     reg.reset();
 }
 
+TEST(StatsDeterminismTest, PopulationStatNamesAndIdentitiesArePinned)
+{
+    // The population.* contract: exactly these stable names, and
+    // the per-tier counters agree with the report's own totals (a
+    // gateway admission is a completion; every deferral happens at
+    // the phone or the gateway tier).
+    if (!statsCompiledIn())
+        GTEST_SKIP() << "stats compiled out";
+    StatsRegistry &reg = StatsRegistry::instance();
+    reg.reset();
+    PopulationFleetConfig config;
+    config.nodes = 4096;
+    config.shards = 4;
+    config.eventsPerNode = 4;
+    config.tiers.sensorsPerPhone = 64;
+    config.chaos = ChaosConfig::profile("harsh");
+    const PopulationFleetResult result = runPopulationFleet(config);
+    const StatsSnapshot snap = reg.snapshot();
+
+    std::vector<std::string> names;
+    for (const SnapshotEntry &e : snap.entries)
+        if (e.scope == StatScope::Stable &&
+            e.name.rfind("population.", 0) == 0)
+            names.push_back(e.name);
+    const std::vector<std::string> expected = {
+        "population.admitted_gateway",
+        "population.admitted_phone",
+        "population.chaos_failovers",
+        "population.chaos_migrations",
+        "population.chaos_retries",
+        "population.cloud_throttled",
+        "population.completed",
+        "population.deadline_misses",
+        "population.deferred_gateway",
+        "population.deferred_phone",
+        "population.duty_suppressed",
+        "population.latency_us",
+        "population.local_fallbacks",
+        "population.transfers",
+        "population.wheel_items",
+    };
+    EXPECT_EQ(names, expected);
+
+    const FleetReport &report = result.report;
+    EXPECT_GT(report.tiers.deferredUplinks, 0u);
+    EXPECT_GT(report.chaos.retries, 0u);
+    EXPECT_EQ(snap.value("population.admitted_gateway"),
+              snap.value("population.completed"));
+    EXPECT_EQ(snap.value("population.completed"), report.totalEvents);
+    EXPECT_EQ(snap.value("population.deferred_phone") +
+                  snap.value("population.deferred_gateway"),
+              report.tiers.deferredUplinks);
+    EXPECT_EQ(snap.value("population.chaos_retries"),
+              report.chaos.retries);
+    const SnapshotEntry *latency = snap.find("population.latency_us");
+    ASSERT_NE(latency, nullptr);
+    EXPECT_EQ(latency->hist.count, report.totalEvents);
+    reg.reset();
+}
+
 TEST(StatsDeterminismTest, CollectStatsOffLeavesPopulationStatsZero)
 {
     if (!statsCompiledIn())
