@@ -7,7 +7,9 @@
 # hierarchical time wheel itself (bitmap scans, far-overflow
 # refiling, schedule-during-drain), and the chaos layer (masked
 # cross-shard extract/re-file during failover, parked-inject replay
-# buffers). Usage:
+# buffers). It also runs the population golden CLI cases, which
+# drive tier deferral, harsh chaos on four shards and population
+# ARQ end to end through the slab and shard-mask code. Usage:
 #
 #   scripts/check_asan_fleet.sh [build-dir]
 #
@@ -21,7 +23,9 @@ build=${1:-"$repo/build-asan"}
 
 cmake -B "$build" -S "$repo" -DXPRO_SANITIZE=address,undefined
 cmake --build "$build" \
-    --target test_fleet test_event_queue test_fleet_chaos \
+    --target test_fleet test_event_queue test_fleet_chaos xpro_cli \
     -j "$(nproc)"
 ctest --test-dir "$build" -L 'fleet|chaos' --output-on-failure
+ctest --test-dir "$build" -R 'cli\.golden\.population' \
+    --output-on-failure
 echo "ASan/UBSan fleet pass: OK"

@@ -43,8 +43,10 @@ struct ChaosWindowRange
  *  self-healing knobs (failover handover cost, retry backoff). */
 struct ChaosConfig
 {
-    /** Master switch; false = the population simulator takes the
-     *  exact legacy path (no chaos reads, byte-identical report). */
+    /** Master switch; false = the population simulator runs the
+     *  inert schedule (nothing fails, zero retry backoff) and its
+     *  report carries no chaos section. The other knobs are then
+     *  ignored. */
     bool enabled = false;
     /** Seed of the crash-interval and churn-assignment hashes.
      *  Independent of the fleet's phase-stagger seed. */
@@ -87,8 +89,9 @@ struct ChaosConfig
      *  cutover: a bounded, accounted handover penalty). */
     uint64_t handoverCostUs = 500;
     /** Tier-retry backoff: a deferred event retries after
-     *  base << defers plus deterministic per-item jitter, instead of
-     *  the chaos-free path's parking at the next window boundary. */
+     *  base << defers plus deterministic per-item jitter, but never
+     *  before the next window boundary (where a disabled schedule's
+     *  zero backoff parks it). */
     uint64_t retryBackoffBaseUs = 2000;
     uint64_t retryJitterUs = 1000;
 
@@ -119,16 +122,14 @@ class ChaosSchedule
   public:
     ChaosSchedule(const ChaosConfig &config, uint64_t gateways);
 
-    /** Is @p gateway down during the current window? */
+    /** Is @p gateway down during the current window? The down map
+     *  is frozen inside a window, so shard drains may call this
+     *  without synchronization. */
     bool
     gatewayDown(uint64_t gateway) const
     {
         return _down[static_cast<size_t>(gateway)] != 0;
     }
-
-    /** One byte per gateway, nonzero = down; frozen inside a
-     *  window, so shard drains may read it without synchronization. */
-    const std::vector<uint8_t> &downMap() const { return _down; }
 
     /** Gateways currently down. */
     size_t downGateways() const { return _downCount; }

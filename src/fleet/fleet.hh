@@ -272,8 +272,9 @@ struct PopulationFleetConfig
     /** Node classes; empty selects syntheticArchetypes(). */
     std::vector<PopulationArchetype> archetypes;
     /** Deterministic chaos schedule (fleet/chaos); disabled by
-     *  default, in which case the run takes the exact legacy path
-     *  and the report keeps its pre-chaos bytes. */
+     *  default. A disabled schedule runs as the inert one (nothing
+     *  fails, deferrals park at the next window boundary) and the
+     *  report carries no chaos section. */
     ChaosConfig chaos;
     /** Sensor-uplink channel faults: the same shared FaultProfile
      *  the detailed path consumes, applied per-attempt at population
@@ -290,8 +291,8 @@ struct PopulationFleetConfig
 };
 
 /**
- * Struct-of-arrays per-node state: nine parallel slabs in one arena,
- * ~30 bytes a node, so a million nodes fit in a few tens of
+ * Struct-of-arrays per-node state: six parallel slabs in one arena,
+ * 21 bytes a node, so a million nodes fit in a few tens of
  * megabytes. Indexed by node id; all slabs are plain old data (the
  * arena never runs destructors).
  */
@@ -304,19 +305,14 @@ class NodeSlabs
 
     /** Archetype (node class) index. */
     uint16_t *archetype() { return _archetype; }
-    /** Duty-cycle band currently in force (0 = full duty). */
-    uint8_t *dutyLevel() { return _dutyLevel; }
-    /** Next event index to inject (the pending-event cursor). */
-    uint32_t *eventCursor() { return _eventCursor; }
     /** Remaining battery in nanojoules. */
     uint64_t *battery() { return _battery; }
-    /** Consecutive events lost to backpressure (outage counter). */
+    /** Consecutive events kept on the sensor (outage counter). */
     uint16_t *outageStreak() { return _outageStreak; }
     /** Serving gateway: the topology's native gateway until a chaos
      *  failover re-homes the node. Only the barrier writes it. */
     uint32_t *gateway() { return _gateway; }
-    /** Churn leave/rejoin windows (~0 = the node never churns). */
-    uint32_t *churnLeave() { return _churnLeave; }
+    /** Churn rejoin window (~0 = the node never churns). */
     uint32_t *churnJoin() { return _churnJoin; }
     /** Gilbert-Elliott channel state, nonzero = bad (fault runs). */
     uint8_t *linkBad() { return _linkBad; }
@@ -325,22 +321,17 @@ class NodeSlabs
     static constexpr size_t
     bytesPerNode()
     {
-        return sizeof(uint16_t) + sizeof(uint8_t) +
-               sizeof(uint32_t) + sizeof(uint64_t) +
+        return sizeof(uint16_t) + sizeof(uint64_t) +
                sizeof(uint16_t) + sizeof(uint32_t) +
-               sizeof(uint32_t) + sizeof(uint32_t) +
-               sizeof(uint8_t);
+               sizeof(uint32_t) + sizeof(uint8_t);
     }
 
   private:
     uint64_t _count = 0;
     uint16_t *_archetype = nullptr;
-    uint8_t *_dutyLevel = nullptr;
-    uint32_t *_eventCursor = nullptr;
     uint64_t *_battery = nullptr;
     uint16_t *_outageStreak = nullptr;
     uint32_t *_gateway = nullptr;
-    uint32_t *_churnLeave = nullptr;
     uint32_t *_churnJoin = nullptr;
     uint8_t *_linkBad = nullptr;
 };

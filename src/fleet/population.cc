@@ -110,6 +110,8 @@ struct ArchetypeStats
     uint64_t latencySumUs = 0;
     uint64_t latencyMaxUs = 0;
     uint64_t fallbacks = 0;
+    /** Events never transmitted: gated off by the duty band, or
+     *  sensed on a flat battery (the ladder's bottom rung). */
     uint64_t suppressed = 0;
     /** Fallbacks caused by ARQ exhaustion on a faulty uplink (a
      *  subset of fallbacks; feeds the per-row degraded counts). */
@@ -127,82 +129,37 @@ struct ShardStats
     uint64_t transfers = 0;
     uint64_t spanMaxUs = 0;
     uint64_t items = 0;
-    // Chaos-layer counters (all zero when chaos is off).
-    uint64_t chaosRetries = 0;      ///< backoff re-schedules
+    // Chaos-layer counters (reported only when chaos is enabled).
     uint64_t gatewayLocal = 0;      ///< completed sans cloud
     uint64_t blackoutFallbacks = 0; ///< no reachable gateway
     uint64_t replayed = 0;          ///< injects sensed late
-    // Fault-profile (ARQ) counters (zero when faults are off).
-    uint64_t faultOffered = 0;
+    // Fault-profile (ARQ) counters (zero when faults are off); the
+    // abandoned packets are the archetypes' arqAbandoned.
     uint64_t faultDelivered = 0;
-    uint64_t faultAbandoned = 0;
     uint64_t faultAttempts = 0;
 };
 
 /**
- * population.* stats (DESIGN.md section 17). All Stable scope: each
- * is a pure function of the configuration, so snapshots stay
- * byte-identical at any shards x workers combination (tested in
- * test_stats_registry under the obs label). The per-event ones
- * (latency histogram, per-tier admissions/deferrals) are written to
- * per-shard StatsSlabs on the hot path; run-level totals are added
- * straight to the registry once the shard merge is done.
+ * Telemetry the report accumulators do not already hold: plain
+ * per-shard counters (an ordinary increment on the hot path, no slab
+ * or registry indirection) folded into the global registry once
+ * after the run. Folding is pure addition, so the merged totals are
+ * independent of the shard grouping (the stable-snapshot contract).
  */
-struct PopStatIds
+struct ShardObs
 {
-    StatId latencyUs;        ///< histogram: inject -> cloud, us
-    StatId admittedPhone;    ///< uplinks the phone tier admitted
-    StatId admittedGateway;  ///< events the gateway tier admitted
-    StatId deferredPhone;    ///< uplinks pushed to the next window
-    StatId deferredGateway;  ///< gateway hops pushed back
-    StatId completed;
-    StatId deadlineMisses;
-    StatId localFallbacks;
-    StatId dutySuppressed;
-    StatId cloudThrottled;
-    StatId wheelItems;
-    StatId transfers;
-    StatId chaosFailovers;  ///< gateway deaths with a live target
-    StatId chaosMigrations; ///< node re-homings (incl. fail-backs)
-    StatId chaosRetries;    ///< backoff retries scheduled
+    uint64_t admittedPhone = 0;
+    uint64_t deferredPhone = 0;
+    uint64_t latencyBuckets[StatsRegistry::kHistogramBuckets] = {};
 };
 
-const PopStatIds &
-popStatIds()
+/** One uplink's bounded stop-and-wait ARQ exchange. */
+struct ArqOutcome
 {
-    static const PopStatIds ids = [] {
-        StatsRegistry &reg = StatsRegistry::instance();
-        PopStatIds v;
-        v.latencyUs = reg.registerHistogram("population.latency_us");
-        v.admittedPhone =
-            reg.registerCounter("population.admitted_phone");
-        v.admittedGateway =
-            reg.registerCounter("population.admitted_gateway");
-        v.deferredPhone =
-            reg.registerCounter("population.deferred_phone");
-        v.deferredGateway =
-            reg.registerCounter("population.deferred_gateway");
-        v.completed = reg.registerCounter("population.completed");
-        v.deadlineMisses =
-            reg.registerCounter("population.deadline_misses");
-        v.localFallbacks =
-            reg.registerCounter("population.local_fallbacks");
-        v.dutySuppressed =
-            reg.registerCounter("population.duty_suppressed");
-        v.cloudThrottled =
-            reg.registerCounter("population.cloud_throttled");
-        v.wheelItems = reg.registerCounter("population.wheel_items");
-        v.transfers = reg.registerCounter("population.transfers");
-        v.chaosFailovers =
-            reg.registerCounter("population.chaos_failovers");
-        v.chaosMigrations =
-            reg.registerCounter("population.chaos_migrations");
-        v.chaosRetries =
-            reg.registerCounter("population.chaos_retries");
-        return v;
-    }();
-    return ids;
-}
+    uint64_t attempts = 1;
+    uint64_t backoffWaitUs = 0;
+    bool delivered = true;
+};
 
 /**
  * The shared FaultProfile pre-baked for the population hot loop:
@@ -231,6 +188,7 @@ struct LinkFaultModel
         LinkFaultModel m;
         if (!faults.enabled)
             return m;
+        faults.validate();
         const auto scale53 = [](double p) {
             p = std::min(1.0, std::max(0.0, p));
             return static_cast<uint64_t>(p * 9007199254740992.0);
@@ -247,6 +205,927 @@ struct LinkFaultModel
                 std::llround(faults.arq.backoff(r).us())));
         return m;
     }
+
+    /** Uniform draw in [0, 2^53) for one attempt of one packet. */
+    uint64_t
+    draw(uint64_t node, uint64_t event, uint32_t attempt,
+         uint64_t salt) const
+    {
+        uint64_t h = mix64(seed ^ (node * 0x9e3779b97f4a7c15ULL));
+        h = mix64(h ^ (event * 0x100000001b3ULL) ^
+                  (uint64_t(attempt) << 40) ^ salt);
+        return h >> 11;
+    }
+
+    /**
+     * Send event @p event of @p node: per-attempt loss and
+     * Gilbert-Elliott state-flip draws, every attempt lost inside a
+     * scripted @p outage. @p bad is the node's channel state, read
+     * and advanced in place.
+     */
+    ArqOutcome
+    send(uint64_t node, uint64_t event, bool outage, bool &bad) const
+    {
+        ArqOutcome out;
+        out.delivered = false;
+        out.attempts = 0;
+        for (uint32_t t = 0; t <= maxRetries; ++t) {
+            ++out.attempts;
+            const bool lost =
+                outage ||
+                draw(node, event, t, 0) < (bad ? lossBad53 : lossGood53);
+            if (draw(node, event, t, 1) <
+                (bad ? badToGood53 : goodToBad53))
+                bad = !bad;
+            if (!lost) {
+                out.delivered = true;
+                break;
+            }
+            if (t < maxRetries)
+                out.backoffWaitUs += backoffUs[t];
+        }
+        return out;
+    }
+};
+
+/** A churner's leave or rejoin, due at a window boundary. */
+struct ChurnEvent
+{
+    uint64_t window;
+    uint32_t node;
+    uint8_t leave;
+};
+
+/** Every shard's accumulators merged by sum and max. */
+struct Totals
+{
+    std::vector<ArchetypeStats> arch;
+    ArchetypeStats all; ///< arch summed over the classes
+    ShardStats shard;
+    ShardObs obs;
+    /** retryHist[a-1] = packets delivered on attempt a. */
+    std::vector<uint64_t> retryHist;
+};
+
+/** Largest number of chaos episodes a report lists verbatim. */
+constexpr size_t kMaxEpisodes = 256;
+
+/** Panics on an unusable configuration, else returns it. */
+const PopulationFleetConfig &
+checkedConfig(const PopulationFleetConfig &config)
+{
+    xproAssert(config.nodes > 0, "population fleet needs nodes");
+    xproAssert(config.nodes <= UINT32_MAX,
+               "node ids must fit the wheel's 32-bit field");
+    xproAssert(config.eventsPerNode > 0 &&
+                   config.eventsPerNode <= kEventMask,
+               "events per node out of range");
+    xproAssert(config.windowUs > 0, "need a nonzero sync window");
+    for (const PopulationArchetype &a : config.archetypes) {
+        xproAssert(a.sensorComputeUs > 0 && a.uplinkAirtimeUs > 0 &&
+                       a.gatewayAirtimeUs > 0 && a.periodUs > 0,
+                   "archetype '%s' needs positive integer costs",
+                   a.symbol.c_str());
+    }
+    config.chaos.validate();
+    return config;
+}
+
+/**
+ * The chaos configuration a run executes. A disabled one runs as the
+ * inert schedule: nothing down, no cloud windows, no churners, and a
+ * zero retry backoff, so a deferred event parks at exactly the next
+ * window boundary.
+ */
+ChaosConfig
+effectiveChaos(const ChaosConfig &chaos)
+{
+    if (chaos.enabled)
+        return chaos;
+    ChaosConfig inert;
+    inert.retryBackoffBaseUs = 0;
+    inert.retryJitterUs = 0;
+    return inert;
+}
+
+/**
+ * One population run: node slabs, tier state and per-shard
+ * accumulators; one handler per wheel item kind; the window barrier
+ * (churn, then failover); and the report assembly. Drain handlers
+ * touch only shard-s state plus the frozen chaos schedule; the
+ * barrier runs single-threaded between windows and owns the rest.
+ */
+class PopulationSim
+{
+  public:
+    explicit PopulationSim(const PopulationFleetConfig &config)
+        : _config(checkedConfig(config)),
+          _classes(config.archetypes.empty() ? syntheticArchetypes()
+                                             : config.archetypes),
+          _topo(TierTopology::build(config.nodes, config.tiers)),
+          _budgets(TierBudgets::build(config.tiers, _topo,
+                                      config.windowUs)),
+          _window(config.windowUs),
+          _shards(static_cast<size_t>(std::min<uint64_t>(
+              {std::max<uint64_t>(config.shards, 1), _topo.gateways,
+               config.nodes}))),
+          _queue(_shards, _window),
+          _slabs(_arena, config.nodes, _classes.size()),
+          _collect(kStatsEnabled && config.collectStats),
+          _chaos(effectiveChaos(config.chaos)),
+          _sched(_chaos, _topo.gateways),
+          _link(LinkFaultModel::build(config.faults)),
+          _srcShards(_shards, 0),
+          _cellFreeAt(_topo.phones, 0),
+          _phoneBudgetUs(_topo.phones, 0),
+          _phoneStamp(_topo.phones, ~uint64_t(0)),
+          _gatewayAirUs(_topo.gateways, 0),
+          _gatewayQuota(_topo.gateways, 0),
+          _gatewayStamp(_topo.gateways, ~uint64_t(0)),
+          _archStats(_shards,
+                     std::vector<ArchetypeStats>(_classes.size())),
+          _shardStats(_shards),
+          _retryHist(_shards,
+                     std::vector<uint64_t>(
+                         _link.enabled ? _link.maxRetries + 1 : 0, 0)),
+          _obs(_shards)
+    {
+        for (uint64_t n = 0; n < config.nodes; ++n) {
+            _slabs.battery()[n] =
+                _classes[_slabs.archetype()[n]].batteryNj;
+            _slabs.gateway()[n] =
+                static_cast<uint32_t>(_topo.gatewayOf(n));
+        }
+        // Churn: rejoin windows into a slab, both transitions into
+        // the sorted boundary agenda the barrier walks.
+        if (_chaos.churnFraction > 0.0) {
+            for (uint64_t n = 0; n < config.nodes; ++n) {
+                uint64_t leave = 0, join = 0;
+                if (!_sched.churnWindows(n, leave, join))
+                    continue;
+                const uint32_t id = static_cast<uint32_t>(n);
+                _slabs.churnJoin()[n] = static_cast<uint32_t>(join);
+                _churnAgenda.push_back({leave, id, 1});
+                _churnAgenda.push_back({join, id, 0});
+            }
+            std::sort(_churnAgenda.begin(), _churnAgenda.end(),
+                      [](const ChurnEvent &a, const ChurnEvent &b) {
+                          if (a.window != b.window)
+                              return a.window < b.window;
+                          return a.node < b.node;
+                      });
+        }
+        // One pending inject per node: each inject schedules its
+        // successor until the node's last event.
+        for (uint64_t n = 0; n < config.nodes; ++n)
+            _queue.shard(homeShard(n)).schedule(
+                {phaseOf(n), static_cast<uint32_t>(n), kInject,
+                 packData(0, 0)});
+    }
+
+    /** Drain every shard to completion. */
+    void
+    run()
+    {
+        WorkerPool pool(_config.workers);
+        _queue.run(
+            pool,
+            [this](size_t s, const WheelItem &item) {
+                ++_shardStats[s].items;
+                switch (item.kind) {
+                case kInject:
+                    onInject(s, item);
+                    break;
+                case kUplink:
+                    onUplink(s, item);
+                    break;
+                case kGateway:
+                    onGateway(s, item);
+                    break;
+                default:
+                    panic("unknown wheel item kind %u", item.kind);
+                }
+            },
+            [this](uint64_t w, uint64_t end) { barrier(w, end); });
+    }
+
+    /** Merge the shards and assemble the result. */
+    PopulationFleetResult
+    result()
+    {
+        const Totals t = merge();
+        // Every offered event ends exactly one way: completed, kept
+        // on the sensor, never transmitted, or dropped in flight by
+        // a churn departure.
+        xproAssert(t.all.completed + t.all.fallbacks +
+                           t.all.suppressed + _chaosLog.droppedEvents ==
+                       _config.nodes * _config.eventsPerNode,
+                   "population accounting lost events");
+
+        // Report assembly is the only place doubles appear; every
+        // input is an integer that is already shard/worker-
+        // independent.
+        PopulationFleetResult result;
+        FleetReport &report = result.report;
+        reportRows(t, report);
+        reportTiers(t, report.tiers);
+        if (_config.chaos.enabled)
+            reportChaos(t, report.chaos);
+        if (_link.enabled)
+            reportRobustness(t, report.robustness);
+        if (_collect)
+            publishStats(t, report);
+        result.simulatedEvents = t.shard.items;
+        result.effectiveShards = _shards;
+        result.bytesPerNode = NodeSlabs::bytesPerNode();
+        return result;
+    }
+
+  private:
+    uint64_t
+    phaseOf(uint64_t node)
+    {
+        return mix64(_config.seed + node) %
+               _classes[_slabs.archetype()[node]].periodUs;
+    }
+
+    /** Shard holding every pending item of @p node: the one that
+     *  owns its serving gateway. */
+    size_t
+    homeShard(uint64_t node)
+    {
+        return static_cast<size_t>(_slabs.gateway()[node]) % _shards;
+    }
+
+    // --- Drain side: shard s state only ----------------------------
+
+    /** The event stays on the sensor: the node's outage streak
+     *  grows, saturating at the slab width. Returns the node's
+     *  archetype accumulators for the caller to record why. */
+    ArchetypeStats &
+    sensorLocal(size_t s, uint64_t node)
+    {
+        uint16_t &streak = _slabs.outageStreak()[node];
+        if (streak < UINT16_MAX)
+            ++streak;
+        return _archStats[s][_slabs.archetype()[node]];
+    }
+
+    void
+    deferOrFallback(size_t s, const WheelItem &item)
+    {
+        const uint64_t event = item.data & kEventMask;
+        const uint32_t defers = item.data >> kEventBits;
+        if (defers >= _budgets.maxDefers) {
+            ++sensorLocal(s, item.node).fallbacks; // out of patience
+            return;
+        }
+        ++_shardStats[s].deferred;
+        if (_collect && item.kind == kUplink)
+            ++_obs[s].deferredPhone;
+        // Deterministic exponential backoff + jitter, a pure
+        // function of the item, so the same in any shard grouping.
+        // A retry never lands before the next window boundary: the
+        // tier budgets it ran out of only refresh there, so an
+        // intra-window retry would burn a defer for nothing. The
+        // inert schedule's zero backoff parks the item at exactly
+        // that boundary.
+        uint64_t delay = _chaos.retryBackoffBaseUs << defers;
+        if (_chaos.retryJitterUs > 0)
+            delay += mix64(_chaos.seed ^
+                           (uint64_t(item.node) * 0x9e3779b97f4a7c15ULL) ^
+                           (uint64_t(item.kind) << 48) ^ item.data) %
+                     _chaos.retryJitterUs;
+        const uint64_t next = std::max(
+            item.at + delay, (item.at / _window + 1) * _window);
+        _queue.shard(s).schedule(
+            {next, item.node, item.kind, packData(event, defers + 1)});
+    }
+
+    void
+    onInject(size_t s, const WheelItem &item)
+    {
+        const uint64_t n = item.node;
+        const uint64_t event = item.data & kEventMask;
+        const PopulationArchetype &a = _classes[_slabs.archetype()[n]];
+        const uint64_t sensedAt = phaseOf(n) + event * a.periodUs;
+        if (item.at > sensedAt)
+            ++_shardStats[s].replayed; // parked by a churn absence
+        if (event + 1 < _config.eventsPerNode) {
+            // A replayed inject pushes its successor to at+1, so a
+            // rejoining node replays its backlog one tick apart.
+            // Otherwise item.at is the analytic time and the clamp
+            // never fires.
+            const uint64_t next_at =
+                std::max(sensedAt + a.periodUs, item.at + 1);
+            _queue.shard(s).schedule({next_at, item.node, kInject,
+                                      packData(event + 1, 0)});
+        }
+        uint64_t &battery = _slabs.battery()[n];
+        if (battery < a.eventEnergyNj) {
+            // Flat battery: the node goes dark, transmitting 0 of N.
+            ++sensorLocal(s, n).suppressed;
+            return;
+        }
+        battery -= a.eventEnergyNj;
+        const uint8_t band = dutyBandFor(battery, a.batteryNj);
+        if (!dutyTransmits(kDutyBands[band], event)) {
+            ++_archStats[s][_slabs.archetype()[n]].suppressed;
+            return;
+        }
+        _queue.shard(s).schedule({item.at + a.sensorComputeUs,
+                                  item.node, kUplink,
+                                  packData(event, 0)});
+    }
+
+    void
+    onUplink(size_t s, const WheelItem &item)
+    {
+        const uint64_t n = item.node;
+        const PopulationArchetype &a = _classes[_slabs.archetype()[n]];
+        if (_sched.gatewayDown(_slabs.gateway()[n])) {
+            // Bottom of the degradation ladder: the serving gateway
+            // is down and no failover target existed, so the event
+            // is classified on the sensor.
+            ++sensorLocal(s, n).fallbacks;
+            ++_shardStats[s].blackoutFallbacks;
+            return;
+        }
+        const size_t phone = static_cast<size_t>(_topo.phoneOf(n));
+        const uint64_t w = item.at / _window;
+        if (_phoneStamp[phone] != w) {
+            _phoneStamp[phone] = w;
+            _phoneBudgetUs[phone] = _budgets.phoneCpuUsPerWindow;
+        }
+        if (_phoneBudgetUs[phone] < a.phoneComputeUs) {
+            deferOrFallback(s, item);
+            return;
+        }
+        _phoneBudgetUs[phone] -= a.phoneComputeUs;
+        if (_collect)
+            ++_obs[s].admittedPhone;
+        // Bounded stop-and-wait ARQ on a faulty uplink. Every
+        // attempt occupies the cell channel; timeouts hold it while
+        // the sensor waits for the missing ACK. The Gilbert-Elliott
+        // state lives in a node slab (only this shard touches it).
+        ArqOutcome arq;
+        if (_link.enabled) {
+            bool bad = _slabs.linkBad()[n] != 0;
+            arq = _link.send(n, item.data & kEventMask,
+                             _config.faults.inOutage(Time::micros(
+                                 static_cast<double>(item.at))),
+                             bad);
+            _slabs.linkBad()[n] = bad ? 1 : 0;
+            _shardStats[s].faultAttempts += arq.attempts;
+            if (arq.delivered) {
+                ++_shardStats[s].faultDelivered;
+                ++_retryHist[s][arq.attempts - 1];
+            }
+        }
+        // Cell-local FCFS channel: one scalar per phone cell.
+        const uint64_t airUs = arq.attempts * a.uplinkAirtimeUs;
+        const uint64_t start = std::max(item.at, _cellFreeAt[phone]);
+        const uint64_t sent = start + airUs + arq.backoffWaitUs;
+        _cellFreeAt[phone] = sent;
+        _shardStats[s].radioBusyUs += airUs;
+        if (!arq.delivered) {
+            // ARQ exhausted: refund the reserved phone compute (the
+            // payload never arrived) and classify on the sensor —
+            // the same degraded placement as the detailed path.
+            _phoneBudgetUs[phone] += a.phoneComputeUs;
+            ArchetypeStats &arch = sensorLocal(s, n);
+            ++arch.fallbacks;
+            ++arch.arqAbandoned;
+            return;
+        }
+        _shardStats[s].phoneBusyUs += a.phoneComputeUs;
+        ++_shardStats[s].transfers;
+        _queue.shard(s).schedule(
+            {sent + a.phoneComputeUs, item.node, kGateway, item.data});
+    }
+
+    void
+    onGateway(size_t s, const WheelItem &item)
+    {
+        const uint64_t n = item.node;
+        const PopulationArchetype &a = _classes[_slabs.archetype()[n]];
+        // The serving gateway comes from the slab, not the static
+        // topology: a failover re-homes the node to a neighbor.
+        const size_t gateway = static_cast<size_t>(_slabs.gateway()[n]);
+        if (_sched.gatewayDown(gateway)) {
+            // Total blackout (no failover target existed when the
+            // gateway died): sensor-local classification.
+            ++sensorLocal(s, n).fallbacks;
+            ++_shardStats[s].blackoutFallbacks;
+            return;
+        }
+        const uint64_t w = item.at / _window;
+        if (_gatewayStamp[gateway] != w) {
+            _gatewayStamp[gateway] = w;
+            _gatewayAirUs[gateway] = _budgets.gatewayAirtimeUsPerWindow;
+            _gatewayQuota[gateway] =
+                _budgets.cloudEventsPerGatewayPerWindow;
+        }
+        if (_gatewayAirUs[gateway] < a.gatewayAirtimeUs) {
+            deferOrFallback(s, item);
+            return;
+        }
+        // Degradation rung 1: with the cloud unreachable the gateway
+        // aggregates locally — no ingest quota consumed, no
+        // throttling, the event still completes.
+        const bool cloudDown = _sched.cloudDown(w);
+        if (!cloudDown && _gatewayQuota[gateway] == 0) {
+            ++_shardStats[s].cloudThrottled;
+            deferOrFallback(s, item);
+            return;
+        }
+        _gatewayAirUs[gateway] -= a.gatewayAirtimeUs;
+        ShardStats &ss = _shardStats[s];
+        if (cloudDown)
+            ++ss.gatewayLocal;
+        else
+            --_gatewayQuota[gateway];
+        ss.gatewayBusyUs += a.gatewayAirtimeUs;
+        ++ss.transfers;
+        const uint64_t completion = item.at + a.gatewayAirtimeUs;
+        const uint64_t event = item.data & kEventMask;
+        const uint64_t latency =
+            completion - (phaseOf(n) + event * a.periodUs);
+        ArchetypeStats &arch = _archStats[s][_slabs.archetype()[n]];
+        ++arch.completed;
+        arch.latencySumUs += latency;
+        arch.latencyMaxUs = std::max(arch.latencyMaxUs, latency);
+        if (latency > a.periodUs)
+            ++arch.misses;
+        if (_collect)
+            ++_obs[s].latencyBuckets[StatsRegistry::bucketOf(latency)];
+        ss.spanMaxUs = std::max(ss.spanMaxUs, completion);
+        _slabs.outageStreak()[n] = 0;
+    }
+
+    // --- Barrier side: single-threaded, between windows ------------
+
+    void
+    barrier(uint64_t w, uint64_t end)
+    {
+        _windows = w + 1;
+        // Downtime accounting for the window just drained; the
+        // schedule still reflects it (transitions below enter
+        // window w + 1).
+        _chaosLog.gatewayDownWindows += _sched.downGateways();
+        if (_sched.cloudDown(w))
+            ++_chaosLog.cloudDownWindows;
+        if (_queue.pending() == 0)
+            return; // nothing left to heal; skip transitions
+        const uint64_t next = w + 1;
+        if (_sched.cloudDown(next) != _sched.cloudDown(w))
+            recordEpisode(end,
+                          _sched.cloudDown(next) ? "cloud-down"
+                                                 : "cloud-up",
+                          0, 0);
+        churn(next);
+        failover(next, end);
+    }
+
+    void
+    recordEpisode(uint64_t at_us, const char *kind, uint64_t gateway,
+                  size_t nodes)
+    {
+        if (_chaosLog.episodes.size() < kMaxEpisodes)
+            _chaosLog.episodes.push_back(
+                {static_cast<double>(at_us) / 1000.0, kind,
+                 static_cast<size_t>(gateway), nodes});
+        else
+            ++_chaosLog.droppedEpisodes;
+    }
+
+    /** Flag @p node for the current pass, and its home shard as a
+     *  source the pass must scan. */
+    void
+    mark(uint32_t node)
+    {
+        if (_marked.empty())
+            _marked.assign(_config.nodes, 0);
+        _srcShards[homeShard(node)] = 1;
+        if (!_marked[node]) {
+            _marked[node] = 1;
+            _markedList.push_back(node);
+        }
+    }
+
+    void
+    clearMarks()
+    {
+        for (uint32_t node : _markedList)
+            _marked[node] = 0;
+        _markedList.clear();
+        std::fill(_srcShards.begin(), _srcShards.end(), 0);
+    }
+
+    /** Node churn due at the boundary entering window @p next. The
+     *  queue's contract for departed nodes: in-flight transport
+     *  items are DROPPED (they can never complete), the self-inject
+     *  is REDIRECTED to the rejoin tick in the node's home shard. */
+    void
+    churn(uint64_t next)
+    {
+        while (_churnCursor < _churnAgenda.size() &&
+               _churnAgenda[_churnCursor].window <= next) {
+            const ChurnEvent &e = _churnAgenda[_churnCursor++];
+            if (e.leave) {
+                mark(e.node);
+                ++_chaosLog.churnLeaves;
+            } else {
+                ++_chaosLog.churnJoins;
+            }
+        }
+        if (_markedList.empty())
+            return;
+        _chaosLog.droppedEvents +=
+            _queue.dropIf(_srcShards, [this](const WheelItem &it) {
+                return _marked[it.node] != 0 && it.kind != kInject;
+            });
+        _chaosLog.parkedInjects += _queue.rekeyIf(
+            _srcShards,
+            [this](const WheelItem &it) { return _marked[it.node] != 0; },
+            [this](WheelItem &it) {
+                const uint64_t joinTick =
+                    uint64_t(_slabs.churnJoin()[it.node]) * _window;
+                it.at = std::max(it.at, joinTick);
+                return homeShard(it.node);
+            });
+        clearMarks();
+    }
+
+    void
+    rehome(uint32_t node, uint32_t target)
+    {
+        mark(node); // its items still sit in the OLD shard
+        _slabs.gateway()[node] = target;
+        ++_chaosLog.migratedNodes;
+    }
+
+    /** @p gateway restarted: its displaced natives come home. */
+    void
+    failBack(uint32_t gateway, uint64_t end)
+    {
+        ++_chaosLog.gatewayRestarts;
+        size_t moved = 0;
+        for (uint32_t node : _displaced) {
+            if (_topo.gatewayOf(node) == gateway &&
+                _slabs.gateway()[node] != gateway) {
+                rehome(node, gateway);
+                ++_chaosLog.failbackNodes;
+                ++moved;
+            }
+        }
+        recordEpisode(end, "restart", gateway, moved);
+    }
+
+    /** @p gateway crashed: everyone it serves moves to the next
+     *  live gateway in ring order, if there is one. */
+    void
+    failOver(uint32_t gateway, uint64_t end)
+    {
+        ++_chaosLog.gatewayCrashes;
+        const uint64_t target = _sched.failoverTarget(gateway);
+        size_t moved = 0;
+        if (target < _topo.gateways) {
+            ++_chaosLog.failovers;
+            const uint32_t t = static_cast<uint32_t>(target);
+            // Displaced guests parked on the gateway move on first
+            // (before its natives join the displaced list).
+            for (uint32_t node : _displaced) {
+                if (_slabs.gateway()[node] == gateway) {
+                    rehome(node, t);
+                    ++moved;
+                }
+            }
+            const uint64_t last = _topo.nodeEndOf(gateway);
+            for (uint64_t n = _topo.firstNodeOf(gateway); n < last;
+                 ++n) {
+                if (_slabs.gateway()[n] == gateway) {
+                    rehome(static_cast<uint32_t>(n), t);
+                    _displaced.push_back(static_cast<uint32_t>(n));
+                    ++moved;
+                }
+            }
+        }
+        recordEpisode(end, "crash", gateway, moved);
+    }
+
+    /** Gateway transitions entering window @p next: restarts first
+     *  (fail-back), then crashes (failover), then one re-key pass
+     *  moves every touched node's pending items into its new home
+     *  shard. */
+    void
+    failover(uint64_t next, uint64_t end)
+    {
+        _sched.step(next, _restartedGw, _crashedGw);
+        for (uint32_t g : _restartedGw)
+            failBack(g, end);
+        if (!_restartedGw.empty()) {
+            _displaced.erase(
+                std::remove_if(_displaced.begin(), _displaced.end(),
+                               [this](uint32_t node) {
+                                   return _slabs.gateway()[node] ==
+                                          _topo.gatewayOf(node);
+                               }),
+                _displaced.end());
+        }
+        for (uint32_t g : _crashedGw)
+            failOver(g, end);
+        if (_markedList.empty())
+            return;
+        // Budgets re-home lazily: the target gateway's and phones'
+        // window stamps reset them on first touch, so the barrier
+        // only moves the items. Transport items pay the bounded
+        // handover cost (§14-style priced cutover); self-injects
+        // move free.
+        _chaosLog.rekeyedItems += _queue.rekeyIf(
+            _srcShards,
+            [this](const WheelItem &it) { return _marked[it.node] != 0; },
+            [this](WheelItem &it) {
+                if (it.kind != kInject) {
+                    it.at += _chaos.handoverCostUs;
+                    _handoverUs += _chaos.handoverCostUs;
+                }
+                return homeShard(it.node);
+            });
+        clearMarks();
+    }
+
+    // --- Merge and report ------------------------------------------
+
+    /** Plain sums and maxima, in any order: the totals are
+     *  shard-grouping-independent. */
+    Totals
+    merge()
+    {
+        Totals t;
+        t.arch.resize(_classes.size());
+        t.retryHist.assign(_retryHist[0].size(), 0);
+        const auto add = [](ArchetypeStats &to,
+                            const ArchetypeStats &from) {
+            to.completed += from.completed;
+            to.misses += from.misses;
+            to.latencySumUs += from.latencySumUs;
+            to.latencyMaxUs = std::max(to.latencyMaxUs, from.latencyMaxUs);
+            to.fallbacks += from.fallbacks;
+            to.suppressed += from.suppressed;
+            to.arqAbandoned += from.arqAbandoned;
+        };
+        ShardStats &total = t.shard;
+        for (size_t s = 0; s < _shards; ++s) {
+            for (size_t a = 0; a < _classes.size(); ++a) {
+                add(t.arch[a], _archStats[s][a]);
+                add(t.all, _archStats[s][a]);
+            }
+            const ShardStats &ss = _shardStats[s];
+            total.deferred += ss.deferred;
+            total.cloudThrottled += ss.cloudThrottled;
+            total.phoneBusyUs += ss.phoneBusyUs;
+            total.gatewayBusyUs += ss.gatewayBusyUs;
+            total.radioBusyUs += ss.radioBusyUs;
+            total.transfers += ss.transfers;
+            total.spanMaxUs = std::max(total.spanMaxUs, ss.spanMaxUs);
+            total.items += ss.items;
+            total.gatewayLocal += ss.gatewayLocal;
+            total.blackoutFallbacks += ss.blackoutFallbacks;
+            total.replayed += ss.replayed;
+            total.faultDelivered += ss.faultDelivered;
+            total.faultAttempts += ss.faultAttempts;
+            for (size_t r = 0; r < t.retryHist.size(); ++r)
+                t.retryHist[r] += _retryHist[s][r];
+            t.obs.admittedPhone += _obs[s].admittedPhone;
+            t.obs.deferredPhone += _obs[s].deferredPhone;
+            for (uint32_t b = 0; b < StatsRegistry::kHistogramBuckets;
+                 ++b)
+                t.obs.latencyBuckets[b] += _obs[s].latencyBuckets[b];
+        }
+        return t;
+    }
+
+    void
+    reportRows(const Totals &t, FleetReport &report)
+    {
+        report.policy = "tiered-fcfs";
+        report.nodeCount = static_cast<size_t>(_config.nodes);
+        const ShardStats &total = t.shard;
+        const double span_us = static_cast<double>(total.spanMaxUs);
+        // Occupancy and utilization are per phone cell: the
+        // population path has no single shared radio to saturate.
+        const double cell_us =
+            span_us * static_cast<double>(_topo.phones);
+        report.spanMs = span_us / 1000.0;
+        report.radioBusyMs =
+            static_cast<double>(total.radioBusyUs) / 1000.0;
+        report.radioOccupancy =
+            span_us > 0.0
+                ? static_cast<double>(total.radioBusyUs) / cell_us
+                : 0.0;
+        report.transfers = static_cast<size_t>(total.transfers);
+        report.aggregatorBusyMs =
+            static_cast<double>(total.phoneBusyUs) / 1000.0;
+        report.aggregatorUtilization =
+            span_us > 0.0
+                ? static_cast<double>(total.phoneBusyUs) / cell_us
+                : 0.0;
+        report.aggregatorCpuShare =
+            _config.tiers.phone.maxCpuUtilization;
+        report.aggregatorPowerUw = 0.0;
+        report.aggregatorLifetimeHours = 0.0;
+        for (size_t a = 0; a < _classes.size(); ++a) {
+            const PopulationArchetype &cls = _classes[a];
+            const ArchetypeStats &st = t.arch[a];
+            FleetNodeReportRow row;
+            row.symbol = cls.symbol;
+            row.process = cls.process;
+            row.admission = "tiered";
+            row.sensorCells = cls.sensorCells;
+            row.totalCells = cls.totalCells;
+            row.accuracy = cls.accuracy;
+            row.eventsPerSecond =
+                1e6 / static_cast<double>(cls.periodUs);
+            // Lifetime: battery over steady-state event energy draw.
+            const double joules_per_sec =
+                static_cast<double>(cls.eventEnergyNj) * 1e-9 *
+                row.eventsPerSecond;
+            row.sensorLifetimeHours =
+                joules_per_sec > 0.0
+                    ? static_cast<double>(cls.batteryNj) * 1e-9 /
+                          joules_per_sec / 3600.0
+                    : 0.0;
+            row.events = static_cast<size_t>(st.completed);
+            row.deadlineMisses = static_cast<size_t>(st.misses);
+            row.meanLatencyMs =
+                st.completed > 0
+                    ? static_cast<double>(st.latencySumUs) /
+                          static_cast<double>(st.completed) / 1000.0
+                    : 0.0;
+            row.worstLatencyMs =
+                static_cast<double>(st.latencyMaxUs) / 1000.0;
+            row.aggregatorPowerUw = 0.0;
+            row.degradedEvents = static_cast<size_t>(st.arqAbandoned);
+            report.totalEvents += row.events;
+            report.totalDeadlineMisses += row.deadlineMisses;
+            report.rows.push_back(std::move(row));
+        }
+    }
+
+    void
+    reportTiers(const Totals &t, TiersReport &tiers)
+    {
+        tiers.enabled = true;
+        tiers.sensorsPerPhone = _topo.sensorsPerPhone;
+        tiers.phonesPerGateway = _topo.phonesPerGateway;
+        tiers.phones = static_cast<size_t>(_topo.phones);
+        tiers.gateways = static_cast<size_t>(_topo.gateways);
+        tiers.windows = static_cast<size_t>(_windows);
+        tiers.deferredUplinks = static_cast<size_t>(t.shard.deferred);
+        tiers.cloudThrottled =
+            static_cast<size_t>(t.shard.cloudThrottled);
+        tiers.phoneBusyMs =
+            static_cast<double>(t.shard.phoneBusyUs) / 1000.0;
+        tiers.gatewayBusyMs =
+            static_cast<double>(t.shard.gatewayBusyUs) / 1000.0;
+        tiers.localFallbacks = static_cast<size_t>(t.all.fallbacks);
+        tiers.dutySuppressed = static_cast<size_t>(t.all.suppressed);
+    }
+
+    /** The barrier's log plus what the shards counted. Every
+     *  deferral is a backoff retry. */
+    void
+    reportChaos(const Totals &t, ChaosReport &cr)
+    {
+        cr = std::move(_chaosLog);
+        cr.enabled = true;
+        cr.retries = static_cast<size_t>(t.shard.deferred);
+        cr.replayedEvents = static_cast<size_t>(t.shard.replayed);
+        cr.gatewayLocalEvents = static_cast<size_t>(t.shard.gatewayLocal);
+        cr.blackoutFallbacks =
+            static_cast<size_t>(t.shard.blackoutFallbacks);
+        cr.handoverMs = static_cast<double>(_handoverUs) / 1000.0;
+        const uint16_t *streak = _slabs.outageStreak();
+        cr.maxOutageStreak =
+            *std::max_element(streak, streak + _config.nodes);
+    }
+
+    void
+    reportRobustness(const Totals &t, RobustnessReport &rob)
+    {
+        const uint64_t abandoned = t.all.arqAbandoned;
+        rob.enabled = true;
+        rob.packetsOffered =
+            static_cast<size_t>(t.shard.faultDelivered + abandoned);
+        rob.packetsDelivered =
+            static_cast<size_t>(t.shard.faultDelivered);
+        rob.packetsAbandoned = static_cast<size_t>(abandoned);
+        rob.attempts = static_cast<size_t>(t.shard.faultAttempts);
+        // Same trailing-trim convention as the detailed path: the
+        // histogram ends at the deepest retry actually used.
+        size_t depth = t.retryHist.size();
+        while (depth > 0 && t.retryHist[depth - 1] == 0)
+            --depth;
+        rob.retryHistogram.assign(
+            t.retryHist.begin(),
+            t.retryHist.begin() + static_cast<ptrdiff_t>(depth));
+        rob.degradedEvents = static_cast<size_t>(abandoned);
+    }
+
+    /**
+     * population.* stats (DESIGN.md §17), all Stable scope and
+     * published once from the merged totals, so snapshots stay
+     * byte-identical at any shards x workers combination. A gateway
+     * admission is a completion, and every deferral not at the
+     * phone happened at the gateway. The chaos counters are
+     * registered by every run and stay zero without a schedule.
+     */
+    void
+    publishStats(const Totals &t, const FleetReport &report)
+    {
+        StatsRegistry &reg = StatsRegistry::instance();
+        const auto add = [&reg](const char *name, uint64_t value) {
+            reg.add(reg.registerCounter(std::string("population.") +
+                                        name),
+                    value);
+        };
+        add("admitted_phone", t.obs.admittedPhone);
+        add("admitted_gateway", t.all.completed);
+        add("deferred_phone", t.obs.deferredPhone);
+        add("deferred_gateway", t.shard.deferred - t.obs.deferredPhone);
+        add("completed", report.totalEvents);
+        add("deadline_misses", report.totalDeadlineMisses);
+        add("local_fallbacks", report.tiers.localFallbacks);
+        add("duty_suppressed", report.tiers.dutySuppressed);
+        add("cloud_throttled", t.shard.cloudThrottled);
+        add("wheel_items", t.shard.items);
+        add("transfers", t.shard.transfers);
+        add("chaos_failovers", report.chaos.failovers);
+        add("chaos_migrations", report.chaos.migratedNodes);
+        add("chaos_retries", report.chaos.retries);
+        reg.mergeHistogram(
+            reg.registerHistogram("population.latency_us"),
+            t.all.latencySumUs, t.obs.latencyBuckets,
+            StatsRegistry::kHistogramBuckets);
+    }
+
+    const PopulationFleetConfig &_config;
+    const std::vector<PopulationArchetype> _classes;
+    const TierTopology _topo;
+    const TierBudgets _budgets;
+    const uint64_t _window;
+    /** A shard owns whole gateways; more shards than gateways (or
+     *  nodes) would only add empty wheels. */
+    const size_t _shards;
+    ShardedEventQueue _queue;
+    Arena _arena{size_t(1) << 20};
+    NodeSlabs _slabs;
+    const bool _collect;
+
+    // Chaos layer (DESIGN.md §18): the schedule advances only at
+    // barriers; drains only read it.
+    const ChaosConfig _chaos;
+    ChaosSchedule _sched;
+    /** Sensor-uplink faults: the detailed path's Gilbert-Elliott /
+     *  ARQ knobs, hash-draw edition. */
+    const LinkFaultModel _link;
+
+    // Barrier-owned state.
+    std::vector<ChurnEvent> _churnAgenda; ///< sorted (window, node)
+    size_t _churnCursor = 0;
+    /** Transitions, migrations and churn as the barrier applied
+     *  them; reportChaos() adds what the shards counted. */
+    ChaosReport _chaosLog;
+    uint64_t _handoverUs = 0;
+    /** Nodes the current barrier pass acts on; sized on first use,
+     *  so a run that never marks allocates no per-node state. */
+    std::vector<uint8_t> _marked;
+    std::vector<uint32_t> _markedList;
+    /** Shards holding the marked nodes' items: every item of node n
+     *  lives in n's home shard, so a pass scans only these wheels. */
+    std::vector<uint8_t> _srcShards;
+    std::vector<uint32_t> _displaced; ///< nodes away from native
+    std::vector<uint32_t> _restartedGw;
+    std::vector<uint32_t> _crashedGw;
+    uint64_t _windows = 0;
+
+    // Tier state: per-phone and per-gateway scalars, each touched
+    // only by the shard that owns the gateway above it. Budget
+    // resets are lazy (stamped with the window index) so the
+    // barrier has no work to do and no cross-shard writes exist.
+    std::vector<uint64_t> _cellFreeAt;
+    std::vector<uint64_t> _phoneBudgetUs;
+    std::vector<uint64_t> _phoneStamp;
+    std::vector<uint64_t> _gatewayAirUs;
+    std::vector<uint64_t> _gatewayQuota;
+    std::vector<uint64_t> _gatewayStamp;
+
+    // Per-shard accumulators, folded by merge().
+    std::vector<std::vector<ArchetypeStats>> _archStats;
+    std::vector<ShardStats> _shardStats;
+    std::vector<std::vector<uint64_t>> _retryHist;
+    std::vector<ShardObs> _obs;
 };
 
 } // namespace
@@ -259,23 +1138,17 @@ NodeSlabs::NodeSlabs(Arena &arena, uint64_t count, size_t archetypes)
                "archetype count %zu out of range", archetypes);
     const size_t n = static_cast<size_t>(count);
     _archetype = arena.alloc<uint16_t>(n);
-    _dutyLevel = arena.alloc<uint8_t>(n);
-    _eventCursor = arena.alloc<uint32_t>(n);
     _battery = arena.alloc<uint64_t>(n);
     _outageStreak = arena.alloc<uint16_t>(n);
     _gateway = arena.alloc<uint32_t>(n);
-    _churnLeave = arena.alloc<uint32_t>(n);
     _churnJoin = arena.alloc<uint32_t>(n);
     _linkBad = arena.alloc<uint8_t>(n);
     for (size_t i = 0; i < n; ++i)
         _archetype[i] = static_cast<uint16_t>(i % archetypes);
-    std::memset(_dutyLevel, 0, n);
-    std::memset(_eventCursor, 0, n * sizeof(uint32_t));
     std::memset(_battery, 0, n * sizeof(uint64_t));
     std::memset(_outageStreak, 0, n * sizeof(uint16_t));
     std::memset(_gateway, 0, n * sizeof(uint32_t));
     // ~0 = "never churns"; the chaos setup overwrites churners.
-    std::memset(_churnLeave, 0xFF, n * sizeof(uint32_t));
     std::memset(_churnJoin, 0xFF, n * sizeof(uint32_t));
     std::memset(_linkBad, 0, n);
 }
@@ -328,877 +1201,9 @@ syntheticArchetypes()
 PopulationFleetResult
 runPopulationFleet(const PopulationFleetConfig &config)
 {
-    xproAssert(config.nodes > 0, "population fleet needs nodes");
-    xproAssert(config.nodes <= UINT32_MAX,
-               "node ids must fit the wheel's 32-bit field");
-    xproAssert(config.eventsPerNode > 0 &&
-                   config.eventsPerNode <= kEventMask,
-               "events per node out of range");
-    xproAssert(config.windowUs > 0, "need a nonzero sync window");
-
-    const std::vector<PopulationArchetype> classes =
-        config.archetypes.empty() ? syntheticArchetypes()
-                                  : config.archetypes;
-    for (const PopulationArchetype &a : classes) {
-        xproAssert(a.sensorComputeUs > 0 && a.uplinkAirtimeUs > 0 &&
-                       a.gatewayAirtimeUs > 0 && a.periodUs > 0,
-                   "archetype '%s' needs positive integer costs",
-                   a.symbol.c_str());
-    }
-
-    const TierTopology topo =
-        TierTopology::build(config.nodes, config.tiers);
-    const TierBudgets budgets =
-        TierBudgets::build(config.tiers, topo, config.windowUs);
-    const uint64_t window = config.windowUs;
-
-    // A shard owns whole gateways; more shards than gateways (or
-    // nodes) would only add empty wheels.
-    size_t shards = config.shards > 0 ? config.shards : 1;
-    shards = std::min<size_t>(
-        shards, static_cast<size_t>(
-                    std::min<uint64_t>(topo.gateways, config.nodes)));
-    ShardedEventQueue queue(shards, window);
-
-    // SoA node state: nine parallel slabs, one arena.
-    Arena arena(size_t(1) << 20);
-    NodeSlabs slabs(arena, config.nodes, classes.size());
-    for (uint64_t n = 0; n < config.nodes; ++n) {
-        slabs.battery()[n] = classes[slabs.archetype()[n]].batteryNj;
-        slabs.gateway()[n] =
-            static_cast<uint32_t>(topo.gatewayOf(n));
-    }
-
-    // Chaos layer (DESIGN.md §18). Everything below is a pure
-    // function of the configuration: the schedule advances only at
-    // barriers (single-threaded) and shard drains only read the
-    // frozen down map, so chaos runs keep the shards x workers
-    // byte-identity. With chaos disabled every hot-path check below
-    // is guarded off and the run reproduces the legacy bytes.
-    const ChaosConfig &chaos = config.chaos;
-    const bool chaosOn = chaos.enabled;
-    if (chaosOn)
-        chaos.validate();
-    ChaosSchedule sched(chaos, topo.gateways);
-    const uint8_t *downMap = sched.downMap().data();
-
-    // Shared fault profile on the sensor uplink (the detailed
-    // path's Gilbert-Elliott/ARQ knobs, hash-draw edition).
-    const FaultProfile &faults = config.faults;
-    if (faults.enabled)
-        faults.validate();
-    const LinkFaultModel link = LinkFaultModel::build(faults);
-    const auto faultDraw = [&](uint64_t node, uint64_t event,
-                               uint32_t attempt, uint64_t salt) {
-        uint64_t h = mix64(link.seed ^
-                           (node * 0x9e3779b97f4a7c15ULL));
-        h = mix64(h ^ (event * 0x100000001b3ULL) ^
-                  (uint64_t(attempt) << 40) ^ salt);
-        return h >> 11; // uniform in [0, 2^53)
-    };
-
-    // Churn assignments, precomputed into slabs plus a sorted
-    // boundary agenda the barrier walks with one cursor.
-    struct ChurnEvent
-    {
-        uint64_t window;
-        uint32_t node;
-        uint8_t leave;
-    };
-    std::vector<ChurnEvent> churnAgenda;
-    if (chaosOn && chaos.churnFraction > 0.0) {
-        for (uint64_t n = 0; n < config.nodes; ++n) {
-            uint64_t leave = 0, join = 0;
-            if (!sched.churnWindows(n, leave, join))
-                continue;
-            slabs.churnLeave()[n] = static_cast<uint32_t>(leave);
-            slabs.churnJoin()[n] = static_cast<uint32_t>(join);
-            churnAgenda.push_back(
-                {leave, static_cast<uint32_t>(n), 1});
-            churnAgenda.push_back(
-                {join, static_cast<uint32_t>(n), 0});
-        }
-        std::sort(churnAgenda.begin(), churnAgenda.end(),
-                  [](const ChurnEvent &a, const ChurnEvent &b) {
-                      if (a.window != b.window)
-                          return a.window < b.window;
-                      return a.node < b.node;
-                  });
-    }
-    size_t churnCursor = 0;
-
-    // Barrier-owned chaos bookkeeping.
-    struct ChaosTotals
-    {
-        uint64_t gatewayCrashes = 0;
-        uint64_t gatewayRestarts = 0;
-        uint64_t failovers = 0;
-        uint64_t migratedNodes = 0;
-        uint64_t failbackNodes = 0;
-        uint64_t rekeyedItems = 0;
-        uint64_t droppedEvents = 0;
-        uint64_t parkedInjects = 0;
-        uint64_t churnLeaves = 0;
-        uint64_t churnJoins = 0;
-        uint64_t gatewayDownWindows = 0;
-        uint64_t cloudDownWindows = 0;
-        uint64_t handoverUs = 0;
-        uint64_t droppedEpisodes = 0;
-    };
-    ChaosTotals ct;
-    constexpr size_t kMaxEpisodes = 256;
-    std::vector<ChaosEpisode> chaosEpisodes;
-    std::vector<uint8_t> migratedNow(chaosOn ? config.nodes : 0, 0);
-    std::vector<uint8_t> leavingNow(chaosOn ? config.nodes : 0, 0);
-    // Which shards can hold items the next drop/re-key pass is
-    // after: every item of node n lives in n's serving-gateway
-    // shard, so the barrier scans only the touched source wheels.
-    std::vector<uint8_t> srcShards(chaosOn ? shards : 0, 0);
-    std::vector<uint32_t> migratedList;
-    std::vector<uint32_t> leaverList;
-    std::vector<uint32_t> displaced; ///< nodes away from native
-    std::vector<uint32_t> restartedGw;
-    std::vector<uint32_t> crashedGw;
-    const auto recordEpisode = [&](uint64_t at_us, const char *kind,
-                                   uint64_t gateway, size_t nodes) {
-        if (chaosEpisodes.size() < kMaxEpisodes)
-            chaosEpisodes.push_back(
-                {static_cast<double>(at_us) / 1000.0, kind,
-                 static_cast<size_t>(gateway), nodes});
-        else
-            ++ct.droppedEpisodes;
-    };
-
-    // Tier state: per-phone and per-gateway scalars, each touched
-    // only by the shard that owns the gateway above it. Budget
-    // resets are lazy (stamped with the window index) so the
-    // barrier has no work to do and no cross-shard writes exist.
-    const size_t phones = static_cast<size_t>(topo.phones);
-    const size_t gateways = static_cast<size_t>(topo.gateways);
-    std::vector<uint64_t> cellFreeAt(phones, 0);
-    std::vector<uint64_t> phoneBudgetUs(phones, 0);
-    std::vector<uint64_t> phoneStamp(phones, ~uint64_t(0));
-    std::vector<uint64_t> gatewayAirUs(gateways, 0);
-    std::vector<uint64_t> gatewayQuota(gateways, 0);
-    std::vector<uint64_t> gatewayStamp(gateways, ~uint64_t(0));
-
-    std::vector<std::vector<ArchetypeStats>> archStats(
-        shards, std::vector<ArchetypeStats>(classes.size()));
-    std::vector<ShardStats> shardStats(shards);
-    // retryHist[s][a-1] = packets delivered on attempt a (per-shard,
-    // merged by addition like every other accumulator).
-    std::vector<std::vector<uint64_t>> retryHist(
-        shards, std::vector<uint64_t>(
-                    link.enabled ? link.maxRetries + 1 : 0, 0));
-
-    // Telemetry: plain per-shard accumulators — hot-path cost is
-    // an ordinary increment into a shard-owned struct, no slab or
-    // registry indirection — folded into the global registry once
-    // after the run. Folding is pure addition, so the merged totals
-    // are independent of the shard grouping (the stable-snapshot
-    // contract).
-    struct ShardObs {
-        uint64_t admittedPhone = 0;
-        uint64_t admittedGateway = 0;
-        uint64_t deferredPhone = 0;
-        uint64_t deferredGateway = 0;
-        uint64_t latencySumUs = 0;
-        uint64_t
-            latencyBuckets[StatsRegistry::kHistogramBuckets] = {};
-    };
-    const bool collect = kStatsEnabled && config.collectStats;
-    const PopStatIds &sids = popStatIds();
-    std::vector<ShardObs> obsStats(shards);
-
-    const auto phaseOf = [&](uint64_t node) {
-        const PopulationArchetype &a =
-            classes[slabs.archetype()[node]];
-        return mix64(config.seed + node) % a.periodUs;
-    };
-
-    // Seed one pending Inject per node (the event cursor's
-    // invariant: a node always has exactly one inject in flight
-    // until its last event).
-    for (uint64_t n = 0; n < config.nodes; ++n) {
-        const size_t s =
-            static_cast<size_t>(topo.gatewayOf(n)) % shards;
-        queue.shard(s).schedule(
-            {phaseOf(n), static_cast<uint32_t>(n), kInject,
-             packData(0, 0)});
-    }
-
-    const auto deferOrFallback =
-        [&](size_t s, const WheelItem &item, uint64_t now) {
-            const uint64_t event = item.data & kEventMask;
-            const uint32_t defers = item.data >> kEventBits;
-            ArchetypeStats &arch =
-                archStats[s][slabs.archetype()[item.node]];
-            if (defers >= budgets.maxDefers) {
-                // Out of patience: classify on the sensor.
-                ++arch.fallbacks;
-                if (slabs.outageStreak()[item.node] < UINT16_MAX)
-                    ++slabs.outageStreak()[item.node];
-                return;
-            }
-            ++shardStats[s].deferred;
-            if (collect)
-                ++(item.kind == kUplink
-                       ? obsStats[s].deferredPhone
-                       : obsStats[s].deferredGateway);
-            uint64_t next;
-            if (chaosOn) {
-                // Chaos runs retry with deterministic exponential
-                // backoff + jitter instead of bare window-parking:
-                // the delay is a pure function of the item, so it is
-                // the same in any shard grouping. A retry never
-                // lands before the next window boundary — the tier
-                // budgets it ran out of only refresh there, so an
-                // intra-window retry would burn a defer for nothing.
-                uint64_t delay = chaos.retryBackoffBaseUs << defers;
-                if (chaos.retryJitterUs > 0)
-                    delay += mix64(chaos.seed ^
-                                   (uint64_t(item.node) *
-                                    0x9e3779b97f4a7c15ULL) ^
-                                   (uint64_t(item.kind) << 48) ^
-                                   item.data) %
-                             chaos.retryJitterUs;
-                next = std::max(now + delay,
-                                (now / window + 1) * window);
-                ++shardStats[s].chaosRetries;
-            } else {
-                next = (now / window + 1) * window;
-            }
-            queue.shard(s).schedule({next, item.node, item.kind,
-                                     packData(event, defers + 1)});
-        };
-
-    const auto onInject = [&](size_t s, const WheelItem &item) {
-        const uint64_t n = item.node;
-        const uint64_t event = item.data & kEventMask;
-        const PopulationArchetype &a =
-            classes[slabs.archetype()[n]];
-        slabs.eventCursor()[n] =
-            static_cast<uint32_t>(event + 1);
-        if (chaosOn && item.at > phaseOf(n) + event * a.periodUs)
-            ++shardStats[s].replayed; // sensed late: churn replay
-        if (event + 1 < config.eventsPerNode) {
-            // A replayed inject (parked past its analytic time by a
-            // churn absence) pushes the successor to at+1, so a
-            // rejoining node replays its backlog one tick apart. In
-            // chaos-free runs item.at IS the analytic time and the
-            // clamp never fires.
-            uint64_t next_at =
-                phaseOf(n) + (event + 1) * a.periodUs;
-            if (next_at <= item.at)
-                next_at = item.at + 1;
-            queue.shard(s).schedule(
-                {next_at, item.node, kInject,
-                 packData(event + 1, 0)});
-        }
-        uint64_t &battery = slabs.battery()[n];
-        if (battery < a.eventEnergyNj) {
-            // Battery exhausted: the node goes dark.
-            if (slabs.outageStreak()[n] < UINT16_MAX)
-                ++slabs.outageStreak()[n];
-            return;
-        }
-        battery -= a.eventEnergyNj;
-        const uint8_t band = dutyBandFor(battery, a.batteryNj);
-        slabs.dutyLevel()[n] = band;
-        if (!dutyTransmits(kDutyBands[band], event)) {
-            ++archStats[s][slabs.archetype()[n]].suppressed;
-            return;
-        }
-        queue.shard(s).schedule(
-            {item.at + a.sensorComputeUs, item.node, kUplink,
-             packData(event, 0)});
-    };
-
-    const auto onUplink = [&](size_t s, const WheelItem &item) {
-        const uint64_t n = item.node;
-        const PopulationArchetype &a =
-            classes[slabs.archetype()[n]];
-        if (chaosOn && downMap[slabs.gateway()[n]]) {
-            // Bottom of the degradation ladder: the node's serving
-            // gateway is down and no failover target existed, so the
-            // event is classified on the sensor (§16 duty bands keep
-            // gating the stream; PR 5 outage semantics keep the
-            // streak counting).
-            ArchetypeStats &arch =
-                archStats[s][slabs.archetype()[n]];
-            ++arch.fallbacks;
-            ++shardStats[s].blackoutFallbacks;
-            if (slabs.outageStreak()[n] < UINT16_MAX)
-                ++slabs.outageStreak()[n];
-            return;
-        }
-        const size_t phone =
-            static_cast<size_t>(topo.phoneOf(n));
-        const uint64_t w = item.at / window;
-        if (phoneStamp[phone] != w) {
-            phoneStamp[phone] = w;
-            phoneBudgetUs[phone] = budgets.phoneCpuUsPerWindow;
-        }
-        if (phoneBudgetUs[phone] < a.phoneComputeUs) {
-            deferOrFallback(s, item, item.at);
-            return;
-        }
-        phoneBudgetUs[phone] -= a.phoneComputeUs;
-        if (collect)
-            ++obsStats[s].admittedPhone;
-        // Bounded stop-and-wait ARQ on the faulty uplink: per-packet
-        // loss and state-flip draws are stateless hashes, the
-        // Gilbert-Elliott state itself lives in a node slab (only
-        // this shard touches it). Every attempt occupies the cell
-        // channel; timeouts hold it while the sensor waits for the
-        // missing ACK. Fault-free runs take attempts == 1 and the
-        // arithmetic below collapses to the legacy expressions.
-        uint64_t attempts = 1;
-        uint64_t backoffWaitUs = 0;
-        bool delivered = true;
-        if (link.enabled) {
-            const uint64_t event = item.data & kEventMask;
-            bool bad = slabs.linkBad()[n] != 0;
-            const bool outage = faults.inOutage(Time::micros(
-                static_cast<double>(item.at)));
-            delivered = false;
-            attempts = 0;
-            for (uint32_t t = 0; t <= link.maxRetries; ++t) {
-                ++attempts;
-                const bool lost =
-                    outage || faultDraw(n, event, t, 0) <
-                                  (bad ? link.lossBad53
-                                       : link.lossGood53);
-                if (faultDraw(n, event, t, 1) <
-                    (bad ? link.badToGood53 : link.goodToBad53))
-                    bad = !bad;
-                if (!lost) {
-                    delivered = true;
-                    break;
-                }
-                if (t < link.maxRetries)
-                    backoffWaitUs += link.backoffUs[t];
-            }
-            slabs.linkBad()[n] = bad ? 1 : 0;
-            ShardStats &ss = shardStats[s];
-            ++ss.faultOffered;
-            ss.faultAttempts += attempts;
-            if (delivered) {
-                ++ss.faultDelivered;
-                ++retryHist[s][attempts - 1];
-            } else {
-                ++ss.faultAbandoned;
-            }
-        }
-        // Cell-local FCFS channel: one scalar per phone cell.
-        const uint64_t airUs = attempts * a.uplinkAirtimeUs;
-        const uint64_t start =
-            std::max(item.at, cellFreeAt[phone]);
-        cellFreeAt[phone] = start + airUs + backoffWaitUs;
-        shardStats[s].radioBusyUs += airUs;
-        if (!delivered) {
-            // ARQ exhausted: refund the reserved phone compute (the
-            // payload never arrived) and classify on the sensor —
-            // the same degraded placement as the detailed path.
-            phoneBudgetUs[phone] += a.phoneComputeUs;
-            ArchetypeStats &arch =
-                archStats[s][slabs.archetype()[n]];
-            ++arch.fallbacks;
-            ++arch.arqAbandoned;
-            if (slabs.outageStreak()[n] < UINT16_MAX)
-                ++slabs.outageStreak()[n];
-            return;
-        }
-        shardStats[s].phoneBusyUs += a.phoneComputeUs;
-        ++shardStats[s].transfers;
-        queue.shard(s).schedule(
-            {start + airUs + backoffWaitUs + a.phoneComputeUs,
-             item.node, kGateway,
-             packData(item.data & kEventMask,
-                      item.data >> kEventBits)});
-    };
-
-    const auto onGateway = [&](size_t s, const WheelItem &item) {
-        const uint64_t n = item.node;
-        const PopulationArchetype &a =
-            classes[slabs.archetype()[n]];
-        // The serving gateway comes from the slab, not the static
-        // topology: a chaos failover re-homes the node to a neighbor
-        // gateway (identical to topo.gatewayOf until then).
-        const size_t gateway =
-            static_cast<size_t>(slabs.gateway()[n]);
-        if (chaosOn && downMap[gateway]) {
-            // Total blackout (no failover target existed when the
-            // gateway died): sensor-local classification.
-            ArchetypeStats &arch =
-                archStats[s][slabs.archetype()[n]];
-            ++arch.fallbacks;
-            ++shardStats[s].blackoutFallbacks;
-            if (slabs.outageStreak()[n] < UINT16_MAX)
-                ++slabs.outageStreak()[n];
-            return;
-        }
-        const uint64_t w = item.at / window;
-        if (gatewayStamp[gateway] != w) {
-            gatewayStamp[gateway] = w;
-            gatewayAirUs[gateway] =
-                budgets.gatewayAirtimeUsPerWindow;
-            gatewayQuota[gateway] =
-                budgets.cloudEventsPerGatewayPerWindow;
-        }
-        if (gatewayAirUs[gateway] < a.gatewayAirtimeUs) {
-            deferOrFallback(s, item, item.at);
-            return;
-        }
-        // Degradation rung 1: with the cloud unreachable the
-        // gateway aggregates locally — no ingest quota consumed, no
-        // throttling, the event still completes.
-        const bool cloudDownNow =
-            chaosOn && sched.cloudDown(w);
-        if (!cloudDownNow && gatewayQuota[gateway] == 0) {
-            ++shardStats[s].cloudThrottled;
-            deferOrFallback(s, item, item.at);
-            return;
-        }
-        gatewayAirUs[gateway] -= a.gatewayAirtimeUs;
-        if (cloudDownNow)
-            ++shardStats[s].gatewayLocal;
-        else
-            --gatewayQuota[gateway];
-        shardStats[s].gatewayBusyUs += a.gatewayAirtimeUs;
-        ++shardStats[s].transfers;
-        const uint64_t completion = item.at + a.gatewayAirtimeUs;
-        const uint64_t event = item.data & kEventMask;
-        const uint64_t injectedAt =
-            phaseOf(n) + event * a.periodUs;
-        const uint64_t latency = completion - injectedAt;
-        ArchetypeStats &arch =
-            archStats[s][slabs.archetype()[n]];
-        ++arch.completed;
-        arch.latencySumUs += latency;
-        arch.latencyMaxUs = std::max(arch.latencyMaxUs, latency);
-        if (collect) {
-            ShardObs &obs = obsStats[s];
-            ++obs.admittedGateway;
-            obs.latencySumUs += latency;
-            ++obs.latencyBuckets[StatsRegistry::bucketOf(latency)];
-        }
-        if (latency > a.periodUs)
-            ++arch.misses;
-        shardStats[s].spanMaxUs =
-            std::max(shardStats[s].spanMaxUs, completion);
-        slabs.outageStreak()[n] = 0;
-    };
-
-    WorkerPool pool(config.workers);
-    uint64_t windows = 0;
-    queue.run(
-        pool,
-        [&](size_t s, const WheelItem &item) {
-            ++shardStats[s].items;
-            switch (item.kind) {
-            case kInject:
-                onInject(s, item);
-                break;
-            case kUplink:
-                onUplink(s, item);
-                break;
-            case kGateway:
-                onGateway(s, item);
-                break;
-            default:
-                panic("unknown wheel item kind %u", item.kind);
-            }
-        },
-        [&](uint64_t w, uint64_t end) {
-            windows = w + 1;
-            if (!chaosOn)
-                return;
-            // Downtime accounting for the window just drained; the
-            // schedule still reflects it (transitions below enter
-            // window w + 1).
-            ct.gatewayDownWindows += sched.downGateways();
-            if (sched.cloudDown(w))
-                ++ct.cloudDownWindows;
-            if (queue.pending() == 0)
-                return; // nothing left to heal; skip transitions
-            const uint64_t next = w + 1;
-            if (sched.cloudDown(next) != sched.cloudDown(w))
-                recordEpisode(end,
-                              sched.cloudDown(next) ? "cloud-down"
-                                                    : "cloud-up",
-                              0, 0);
-
-            // Node churn due at this boundary. The queue's contract
-            // for departed nodes: in-flight transport items are
-            // DROPPED (they can never complete), the self-inject is
-            // REDIRECTED to the rejoin tick in the node's current
-            // home shard.
-            bool anyLeave = false;
-            while (churnCursor < churnAgenda.size() &&
-                   churnAgenda[churnCursor].window <= next) {
-                const ChurnEvent &e = churnAgenda[churnCursor++];
-                if (e.leave) {
-                    leavingNow[e.node] = 1;
-                    srcShards[static_cast<size_t>(
-                                  slabs.gateway()[e.node]) %
-                              shards] = 1;
-                    leaverList.push_back(e.node);
-                    anyLeave = true;
-                    ++ct.churnLeaves;
-                } else {
-                    ++ct.churnJoins;
-                }
-            }
-            if (anyLeave) {
-                ct.droppedEvents += queue.dropIf(
-                    srcShards,
-                    [&](const WheelItem &it) {
-                        return leavingNow[it.node] != 0 &&
-                               it.kind != kInject;
-                    });
-                ct.parkedInjects += queue.rekeyIf(
-                    srcShards,
-                    [&](const WheelItem &it) {
-                        return leavingNow[it.node] != 0;
-                    },
-                    [&](WheelItem &it) {
-                        const uint64_t joinTick =
-                            uint64_t(slabs.churnJoin()[it.node]) *
-                            window;
-                        if (it.at < joinTick)
-                            it.at = joinTick;
-                        return static_cast<size_t>(
-                                   slabs.gateway()[it.node]) %
-                               shards;
-                    });
-                for (uint32_t nId : leaverList)
-                    leavingNow[nId] = 0;
-                leaverList.clear();
-                std::fill(srcShards.begin(), srcShards.end(), 0);
-            }
-
-            // Gateway transitions entering window w + 1. Restarts
-            // first (fail-back), then crashes (failover), then one
-            // re-key pass moves every touched node's pending items
-            // into its new home shard.
-            sched.step(next, restartedGw, crashedGw);
-            migratedList.clear();
-            const auto rehome = [&](uint32_t nId, uint32_t target) {
-                srcShards[static_cast<size_t>(
-                              slabs.gateway()[nId]) %
-                          shards] = 1; // items sit in the OLD shard
-                slabs.gateway()[nId] = target;
-                ++ct.migratedNodes;
-                if (!migratedNow[nId]) {
-                    migratedNow[nId] = 1;
-                    migratedList.push_back(nId);
-                }
-            };
-            for (uint32_t g : restartedGw) {
-                ++ct.gatewayRestarts;
-                size_t moved = 0;
-                for (uint32_t nId : displaced) {
-                    if (topo.gatewayOf(nId) == g &&
-                        slabs.gateway()[nId] != g) {
-                        rehome(nId, g);
-                        ++ct.failbackNodes;
-                        ++moved;
-                    }
-                }
-                recordEpisode(end, "restart", g, moved);
-            }
-            if (!restartedGw.empty()) {
-                displaced.erase(
-                    std::remove_if(
-                        displaced.begin(), displaced.end(),
-                        [&](uint32_t nId) {
-                            return slabs.gateway()[nId] ==
-                                   topo.gatewayOf(nId);
-                        }),
-                    displaced.end());
-            }
-            for (uint32_t g : crashedGw) {
-                ++ct.gatewayCrashes;
-                const uint64_t target = sched.failoverTarget(g);
-                size_t moved = 0;
-                if (target < topo.gateways) {
-                    ++ct.failovers;
-                    const uint32_t t =
-                        static_cast<uint32_t>(target);
-                    // Displaced guests parked on g move on first
-                    // (before natives join the displaced list).
-                    for (uint32_t nId : displaced) {
-                        if (slabs.gateway()[nId] == g) {
-                            rehome(nId, t);
-                            ++moved;
-                        }
-                    }
-                    const uint64_t first = topo.firstNodeOf(g);
-                    const uint64_t last = topo.nodeEndOf(g);
-                    for (uint64_t nId = first; nId < last; ++nId) {
-                        if (slabs.gateway()[nId] == g) {
-                            rehome(static_cast<uint32_t>(nId), t);
-                            displaced.push_back(
-                                static_cast<uint32_t>(nId));
-                            ++moved;
-                        }
-                    }
-                }
-                recordEpisode(end, "crash", g, moved);
-            }
-            if (!migratedList.empty()) {
-                // Budgets re-home lazily: the target gateway's and
-                // phones' window stamps reset them on first touch,
-                // so the barrier only moves the items. Transport
-                // items pay the bounded handover cost (§14-style
-                // priced cutover); self-injects move free.
-                ct.rekeyedItems += queue.rekeyIf(
-                    srcShards,
-                    [&](const WheelItem &it) {
-                        return migratedNow[it.node] != 0;
-                    },
-                    [&](WheelItem &it) {
-                        if (it.kind != kInject) {
-                            it.at += chaos.handoverCostUs;
-                            ct.handoverUs += chaos.handoverCostUs;
-                        }
-                        return static_cast<size_t>(
-                                   slabs.gateway()[it.node]) %
-                               shards;
-                    });
-                for (uint32_t nId : migratedList)
-                    migratedNow[nId] = 0;
-                migratedList.clear();
-                std::fill(srcShards.begin(), srcShards.end(), 0);
-            }
-        });
-
-    // Merge: plain sums and maxima over the per-shard accumulators,
-    // in either order — the totals are shard-grouping-independent.
-    std::vector<ArchetypeStats> arch(classes.size());
-    ShardStats total;
-    std::vector<uint64_t> retryHistTotal(
-        link.enabled ? link.maxRetries + 1 : 0, 0);
-    for (size_t s = 0; s < shards; ++s) {
-        for (size_t a = 0; a < classes.size(); ++a) {
-            arch[a].completed += archStats[s][a].completed;
-            arch[a].misses += archStats[s][a].misses;
-            arch[a].latencySumUs += archStats[s][a].latencySumUs;
-            arch[a].latencyMaxUs = std::max(
-                arch[a].latencyMaxUs, archStats[s][a].latencyMaxUs);
-            arch[a].fallbacks += archStats[s][a].fallbacks;
-            arch[a].suppressed += archStats[s][a].suppressed;
-            arch[a].arqAbandoned += archStats[s][a].arqAbandoned;
-        }
-        total.deferred += shardStats[s].deferred;
-        total.cloudThrottled += shardStats[s].cloudThrottled;
-        total.phoneBusyUs += shardStats[s].phoneBusyUs;
-        total.gatewayBusyUs += shardStats[s].gatewayBusyUs;
-        total.radioBusyUs += shardStats[s].radioBusyUs;
-        total.transfers += shardStats[s].transfers;
-        total.spanMaxUs =
-            std::max(total.spanMaxUs, shardStats[s].spanMaxUs);
-        total.items += shardStats[s].items;
-        total.chaosRetries += shardStats[s].chaosRetries;
-        total.gatewayLocal += shardStats[s].gatewayLocal;
-        total.blackoutFallbacks += shardStats[s].blackoutFallbacks;
-        total.replayed += shardStats[s].replayed;
-        total.faultOffered += shardStats[s].faultOffered;
-        total.faultDelivered += shardStats[s].faultDelivered;
-        total.faultAbandoned += shardStats[s].faultAbandoned;
-        total.faultAttempts += shardStats[s].faultAttempts;
-        for (size_t r = 0; r < retryHistTotal.size(); ++r)
-            retryHistTotal[r] += retryHist[s][r];
-    }
-
-    // Report assembly is the only place doubles appear; every input
-    // is an integer that is already shard/worker-independent.
-    PopulationFleetResult result;
-    FleetReport &report = result.report;
-    report.policy = "tiered-fcfs";
-    report.nodeCount = static_cast<size_t>(config.nodes);
-    const double span_us =
-        static_cast<double>(total.spanMaxUs);
-    report.spanMs = span_us / 1000.0;
-    report.radioBusyMs =
-        static_cast<double>(total.radioBusyUs) / 1000.0;
-    // Occupancy is per cell channel (phones) — the population path
-    // has no single shared radio to saturate.
-    report.radioOccupancy =
-        span_us > 0.0 ? static_cast<double>(total.radioBusyUs) /
-                            (span_us *
-                             static_cast<double>(topo.phones))
-                      : 0.0;
-    report.transfers = static_cast<size_t>(total.transfers);
-    report.aggregatorBusyMs =
-        static_cast<double>(total.phoneBusyUs) / 1000.0;
-    report.aggregatorUtilization =
-        span_us > 0.0 ? static_cast<double>(total.phoneBusyUs) /
-                            (span_us *
-                             static_cast<double>(topo.phones))
-                      : 0.0;
-    report.aggregatorCpuShare =
-        config.tiers.phone.maxCpuUtilization;
-    report.aggregatorPowerUw = 0.0;
-    report.aggregatorLifetimeHours = 0.0;
-    for (size_t a = 0; a < classes.size(); ++a) {
-        const PopulationArchetype &cls = classes[a];
-        FleetNodeReportRow row;
-        row.symbol = cls.symbol;
-        row.process = cls.process;
-        row.admission = "tiered";
-        row.sensorCells = cls.sensorCells;
-        row.totalCells = cls.totalCells;
-        row.accuracy = cls.accuracy;
-        row.eventsPerSecond =
-            1e6 / static_cast<double>(cls.periodUs);
-        // Lifetime: battery over steady-state event energy draw.
-        const double joules_per_sec =
-            static_cast<double>(cls.eventEnergyNj) * 1e-9 *
-            row.eventsPerSecond;
-        row.sensorLifetimeHours =
-            joules_per_sec > 0.0
-                ? static_cast<double>(cls.batteryNj) * 1e-9 /
-                      joules_per_sec / 3600.0
-                : 0.0;
-        row.events = static_cast<size_t>(arch[a].completed);
-        row.deadlineMisses = static_cast<size_t>(arch[a].misses);
-        row.meanLatencyMs =
-            arch[a].completed > 0
-                ? static_cast<double>(arch[a].latencySumUs) /
-                      static_cast<double>(arch[a].completed) /
-                      1000.0
-                : 0.0;
-        row.worstLatencyMs =
-            static_cast<double>(arch[a].latencyMaxUs) / 1000.0;
-        row.aggregatorPowerUw = 0.0;
-        row.degradedEvents =
-            static_cast<size_t>(arch[a].arqAbandoned);
-        report.totalEvents += row.events;
-        report.totalDeadlineMisses += row.deadlineMisses;
-        report.rows.push_back(std::move(row));
-    }
-    TiersReport &tiers = report.tiers;
-    tiers.enabled = true;
-    tiers.sensorsPerPhone = topo.sensorsPerPhone;
-    tiers.phonesPerGateway = topo.phonesPerGateway;
-    tiers.phones = static_cast<size_t>(topo.phones);
-    tiers.gateways = static_cast<size_t>(topo.gateways);
-    tiers.windows = static_cast<size_t>(windows);
-    tiers.deferredUplinks = static_cast<size_t>(total.deferred);
-    tiers.cloudThrottled =
-        static_cast<size_t>(total.cloudThrottled);
-    tiers.phoneBusyMs =
-        static_cast<double>(total.phoneBusyUs) / 1000.0;
-    tiers.gatewayBusyMs =
-        static_cast<double>(total.gatewayBusyUs) / 1000.0;
-    for (size_t a = 0; a < classes.size(); ++a) {
-        tiers.localFallbacks +=
-            static_cast<size_t>(arch[a].fallbacks);
-        tiers.dutySuppressed +=
-            static_cast<size_t>(arch[a].suppressed);
-    }
-
-    if (chaosOn) {
-        ChaosReport &cr = report.chaos;
-        cr.enabled = true;
-        cr.gatewayCrashes =
-            static_cast<size_t>(ct.gatewayCrashes);
-        cr.gatewayRestarts =
-            static_cast<size_t>(ct.gatewayRestarts);
-        cr.failovers = static_cast<size_t>(ct.failovers);
-        cr.migratedNodes = static_cast<size_t>(ct.migratedNodes);
-        cr.failbackNodes = static_cast<size_t>(ct.failbackNodes);
-        cr.rekeyedItems = static_cast<size_t>(ct.rekeyedItems);
-        cr.retries = static_cast<size_t>(total.chaosRetries);
-        cr.droppedEvents = static_cast<size_t>(ct.droppedEvents);
-        cr.parkedInjects = static_cast<size_t>(ct.parkedInjects);
-        cr.replayedEvents = static_cast<size_t>(total.replayed);
-        cr.gatewayLocalEvents =
-            static_cast<size_t>(total.gatewayLocal);
-        cr.blackoutFallbacks =
-            static_cast<size_t>(total.blackoutFallbacks);
-        cr.churnLeaves = static_cast<size_t>(ct.churnLeaves);
-        cr.churnJoins = static_cast<size_t>(ct.churnJoins);
-        cr.gatewayDownWindows =
-            static_cast<size_t>(ct.gatewayDownWindows);
-        cr.cloudDownWindows =
-            static_cast<size_t>(ct.cloudDownWindows);
-        cr.handoverMs =
-            static_cast<double>(ct.handoverUs) / 1000.0;
-        uint16_t worstStreak = 0;
-        for (uint64_t n = 0; n < config.nodes; ++n)
-            worstStreak =
-                std::max(worstStreak, slabs.outageStreak()[n]);
-        cr.maxOutageStreak = worstStreak;
-        cr.episodes = std::move(chaosEpisodes);
-        cr.droppedEpisodes =
-            static_cast<size_t>(ct.droppedEpisodes);
-    }
-
-    if (link.enabled) {
-        RobustnessReport &rob = report.robustness;
-        rob.enabled = true;
-        rob.packetsOffered =
-            static_cast<size_t>(total.faultOffered);
-        rob.packetsDelivered =
-            static_cast<size_t>(total.faultDelivered);
-        rob.packetsAbandoned =
-            static_cast<size_t>(total.faultAbandoned);
-        rob.attempts = static_cast<size_t>(total.faultAttempts);
-        // Same trailing-trim convention as the detailed path: the
-        // histogram ends at the deepest retry actually used.
-        size_t depth = retryHistTotal.size();
-        while (depth > 0 && retryHistTotal[depth - 1] == 0)
-            --depth;
-        rob.retryHistogram.assign(retryHistTotal.begin(),
-                                  retryHistTotal.begin() +
-                                      static_cast<ptrdiff_t>(depth));
-        rob.degradedEvents =
-            static_cast<size_t>(total.faultAbandoned);
-    }
-
-    if (collect) {
-        StatsRegistry &reg = StatsRegistry::instance();
-        ShardObs folded;
-        for (const ShardObs &obs : obsStats) {
-            folded.admittedPhone += obs.admittedPhone;
-            folded.admittedGateway += obs.admittedGateway;
-            folded.deferredPhone += obs.deferredPhone;
-            folded.deferredGateway += obs.deferredGateway;
-            folded.latencySumUs += obs.latencySumUs;
-            for (uint32_t b = 0;
-                 b < StatsRegistry::kHistogramBuckets; ++b)
-                folded.latencyBuckets[b] += obs.latencyBuckets[b];
-        }
-        reg.add(sids.admittedPhone, folded.admittedPhone);
-        reg.add(sids.admittedGateway, folded.admittedGateway);
-        reg.add(sids.deferredPhone, folded.deferredPhone);
-        reg.add(sids.deferredGateway, folded.deferredGateway);
-        reg.mergeHistogram(sids.latencyUs, folded.latencySumUs,
-                           folded.latencyBuckets,
-                           StatsRegistry::kHistogramBuckets);
-        // Run-level totals, published from the merged accumulators
-        // (already shard-grouping-independent by construction).
-        reg.add(sids.completed, report.totalEvents);
-        reg.add(sids.deadlineMisses, report.totalDeadlineMisses);
-        reg.add(sids.localFallbacks, tiers.localFallbacks);
-        reg.add(sids.dutySuppressed, tiers.dutySuppressed);
-        reg.add(sids.cloudThrottled, total.cloudThrottled);
-        reg.add(sids.wheelItems, total.items);
-        reg.add(sids.transfers, total.transfers);
-        if (chaosOn) {
-            reg.add(sids.chaosFailovers, ct.failovers);
-            reg.add(sids.chaosMigrations, ct.migratedNodes);
-            reg.add(sids.chaosRetries, total.chaosRetries);
-        }
-    }
-
-    result.simulatedEvents = total.items;
-    result.effectiveShards = shards;
-    result.bytesPerNode = NodeSlabs::bytesPerNode();
-    return result;
+    PopulationSim sim(config);
+    sim.run();
+    return sim.result();
 }
 
 } // namespace xpro

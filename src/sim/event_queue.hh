@@ -475,91 +475,42 @@ class ShardedEventQueue
      * on when the slab was mutated, which the determinism contract
      * forbids. Both calls are barrier-only (single-threaded, no
      * shard drain in flight).
-     */
-
-    /** Remove every pending item matching @p pred across all
-     *  shards. Returns the number of items dropped. */
-    template <typename Pred>
-    size_t
-    dropIf(Pred &&pred)
-    {
-        _extractScratch.clear();
-        for (TimeWheel &wheel : _wheels)
-            wheel.extractIf(pred, _extractScratch);
-        const size_t dropped = _extractScratch.size();
-        _extractScratch.clear();
-        return dropped;
-    }
-
-    /**
-     * dropIf restricted to the shards flagged in @p source_shards
-     * (one byte per shard, nonzero = scan). The caller asserts that
-     * no matching item lives outside the flagged shards — in the
+     *
+     * Both scan only the shards flagged in @p source_shards (one
+     * byte per shard, nonzero = scan). The caller asserts that no
+     * matching item lives outside the flagged shards — in the
      * population fleet every item of node n sits in the shard of
      * n's serving gateway, so the owner knows the source set
      * exactly, and a migration barrier scans a couple of wheels
      * instead of all of them.
      */
+
+    /** Remove every pending item matching @p pred from the flagged
+     *  shards. Returns the number of items dropped. */
     template <typename Pred>
     size_t
     dropIf(const std::vector<uint8_t> &source_shards, Pred &&pred)
     {
-        xproAssert(source_shards.size() == _wheels.size(),
-                   "shard mask size mismatch");
-        _extractScratch.clear();
-        for (size_t s = 0; s < _wheels.size(); ++s)
-            if (source_shards[s])
-                _wheels[s].extractIf(pred, _extractScratch);
+        extractFrom(source_shards, pred);
         const size_t dropped = _extractScratch.size();
         _extractScratch.clear();
         return dropped;
     }
 
     /**
-     * Extract every pending item matching @p pred across all
+     * Extract every pending item matching @p pred from the flagged
      * shards, apply fn(item) — which may raise item.at and returns
-     * the target shard index — and re-file each item into its
-     * target wheel. All matches are extracted before any is
-     * re-filed, so fn may keep matching the moved items without
-     * double-processing. Returns the number of items moved.
+     * the target shard index, flagged or not — and re-file each
+     * item into its target wheel. All matches are extracted before
+     * any is re-filed, so fn may keep matching the moved items
+     * without double-processing. Returns the number of items moved.
      */
-    template <typename Pred, typename RekeyFn>
-    size_t
-    rekeyIf(Pred &&pred, RekeyFn &&fn)
-    {
-        _extractScratch.clear();
-        for (TimeWheel &wheel : _wheels)
-            wheel.extractIf(pred, _extractScratch);
-        return refileScratch(fn);
-    }
-
-    /** rekeyIf restricted to the shards flagged in @p source_shards
-     *  — same contract as the masked dropIf: the caller guarantees
-     *  every matching item lives in a flagged shard. Targets are
-     *  unrestricted. */
     template <typename Pred, typename RekeyFn>
     size_t
     rekeyIf(const std::vector<uint8_t> &source_shards, Pred &&pred,
             RekeyFn &&fn)
     {
-        xproAssert(source_shards.size() == _wheels.size(),
-                   "shard mask size mismatch");
-        _extractScratch.clear();
-        for (size_t s = 0; s < _wheels.size(); ++s)
-            if (source_shards[s])
-                _wheels[s].extractIf(pred, _extractScratch);
-        return refileScratch(fn);
-    }
-
-  private:
-    /** Re-file the extracted scratch items through @p fn (shared
-     *  tail of both rekeyIf flavors): all matches were already
-     *  extracted, so fn may keep matching moved items without
-     *  double-processing. */
-    template <typename RekeyFn>
-    size_t
-    refileScratch(RekeyFn &&fn)
-    {
+        extractFrom(source_shards, pred);
         for (WheelItem &item : _extractScratch) {
             const size_t target = fn(item);
             xproAssert(target < _wheels.size(),
@@ -569,6 +520,21 @@ class ShardedEventQueue
         const size_t moved = _extractScratch.size();
         _extractScratch.clear();
         return moved;
+    }
+
+  private:
+    /** Move the flagged shards' items matching @p pred into
+     *  _extractScratch. */
+    template <typename Pred>
+    void
+    extractFrom(const std::vector<uint8_t> &source_shards, Pred &pred)
+    {
+        xproAssert(source_shards.size() == _wheels.size(),
+                   "shard mask size mismatch");
+        _extractScratch.clear();
+        for (size_t s = 0; s < _wheels.size(); ++s)
+            if (source_shards[s])
+                _wheels[s].extractIf(pred, _extractScratch);
     }
 
     /** Fold every wheel's Counters into the stats registry

@@ -686,6 +686,10 @@ TEST(PopulationFleetTest, OutageStreakSaturatesAtSlabWidth)
     EXPECT_EQ(result.report.chaos.maxOutageStreak, 65535u);
     EXPECT_EQ(result.report.chaos.gatewayCrashes, 0u);
     EXPECT_EQ(result.report.totalEvents, 0u);
+    // A flat battery transmits 0 of N: every event is accounted as
+    // duty-suppressed, none vanishes.
+    EXPECT_EQ(result.report.tiers.dutySuppressed, 70000u);
+    EXPECT_EQ(result.report.tiers.localFallbacks, 0u);
 }
 
 TEST(PopulationFleetTest, WheelWraparoundSurvivesLongChaosBackoff)
