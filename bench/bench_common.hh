@@ -23,6 +23,7 @@
 #include <vector>
 
 #include <sys/resource.h>
+#include <time.h>
 
 #include "core/pipeline.hh"
 #include "data/testcases.hh"
@@ -55,6 +56,32 @@ class SteadyTimer
 
   private:
     std::chrono::steady_clock::time_point _start;
+};
+
+/**
+ * CPU time consumed by the calling thread (CLOCK_THREAD_CPUTIME_ID).
+ * Single-thread speedups are gated on this clock, so host load and
+ * core count cannot move the ratio.
+ */
+class ThreadCpuTimer
+{
+  public:
+    ThreadCpuTimer() : _start(now()) {}
+
+    /** CPU seconds since construction. */
+    double seconds() const { return now() - _start; }
+
+  private:
+    static double
+    now()
+    {
+        timespec ts = {};
+        clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+        return static_cast<double>(ts.tv_sec) +
+               1e-9 * static_cast<double>(ts.tv_nsec);
+    }
+
+    double _start;
 };
 
 /** Peak resident set size in MiB (getrusage; ru_maxrss is KiB on

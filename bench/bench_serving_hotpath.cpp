@@ -6,9 +6,12 @@
  * SIMD hot path with cross-user batching (HotPathPipeline behind
  * BatchServer). Shape checks: the batched predictions are
  * bit-identical to the per-event oracle at every batch size and
- * worker count tried, and the end-to-end event rate improves by at
- * least 3x. The JSON summary reports the shared "events_per_sec" /
- * "peak_rss_mb" keys for the batched path.
+ * worker count tried, and one batching worker is at least 3x the
+ * per-event path. Both sides of that gate run on one thread and are
+ * timed on thread CPU time, so the ratio does not depend on the
+ * host's core count or load. The all-workers rate is printed for
+ * information only. The JSON summary reports the shared
+ * "events_per_sec" / "peak_rss_mb" keys for the gated 1-worker path.
  */
 
 #include <cstdio>
@@ -128,7 +131,7 @@ main()
     // pipeline, including its per-call feature/DWT allocations.
     std::vector<int> baseline(eventsTotal);
     std::vector<double> sample; // per-event copy, as the old callers
-    SteadyTimer per_event_timer;
+    ThreadCpuTimer per_event_timer;
     for (size_t e = 0; e < eventsTotal; ++e) {
         const ServingEvent &event = pop.events[e];
         sample.assign(event.segment, event.segment + event.length);
@@ -151,26 +154,40 @@ main()
     }
 
     // Hot path: packed SIMD kernels, arena scratch, cross-user
-    // batches sliced across the worker pool.
+    // batches. The gate times one inline worker, like the baseline.
     std::vector<const HotPathPipeline *> users;
     for (const HotPathPipeline &hot : pop.hot)
         users.push_back(&hot);
-    BatchServer server(users, 64, 0); // 0 = all hardware workers
+    BatchServer server(users, 64, 1);
     std::vector<int> batched(eventsTotal);
     server.serveInto(pop.events.data(), eventsTotal,
                      batched.data()); // warmup: grow scratch arenas
-    SteadyTimer batched_timer;
+    ThreadCpuTimer batched_timer;
     server.serveInto(pop.events.data(), eventsTotal,
                      batched.data());
     const double batched_s = batched_timer.seconds();
     const double batched_rate = double(eventsTotal) / batched_s;
     const double speedup = batched_rate / per_event_rate;
 
-    std::printf("per-event path : %10.0f events/s\n",
+    // Information only: the same batches over every hardware thread,
+    // on wall time.
+    BatchServer wide(users, 64, 0);
+    std::vector<int> wide_out(eventsTotal);
+    wide.serveInto(pop.events.data(), eventsTotal, wide_out.data());
+    SteadyTimer wide_timer;
+    wide.serveInto(pop.events.data(), eventsTotal, wide_out.data());
+    const double wide_rate = double(eventsTotal) / wide_timer.seconds();
+
+    std::printf("per-event path : %10.0f events/s  (1 thread, CPU "
+                "time)\n",
                 per_event_rate);
-    std::printf("batched path   : %10.0f events/s  (%zu workers)\n",
-                batched_rate, server.workerCount());
-    std::printf("speedup        : %10.2fx\n\n", speedup);
+    std::printf("batched path   : %10.0f events/s  (1 worker, CPU "
+                "time)\n",
+                batched_rate);
+    std::printf("speedup        : %10.2fx\n", speedup);
+    std::printf("all workers    : %10.0f events/s  (%zu workers, "
+                "wall time; not gated)\n\n",
+                wide_rate, wide.workerCount());
 
     std::printf("Shape checks:\n");
     checker.check(live_matches_reference,
@@ -193,11 +210,12 @@ main()
                   "identity holds at every batch size x worker "
                   "count");
     checker.check(speedup >= 3.0,
-                  "batched SIMD serving is at least 3x the "
-                  "per-event path end to end");
+                  "one batching worker is at least 3x the "
+                  "per-event path on thread CPU time");
 
     checker.metric("per_event_events_per_sec", per_event_rate);
     checker.metric("speedup", speedup);
+    checker.metric("all_workers_events_per_sec", wide_rate);
     checker.throughput(eventsTotal, batched_s);
     return checker.finish("bench_serving_hotpath");
 }

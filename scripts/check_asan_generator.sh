@@ -6,8 +6,9 @@
 # parallel ensemble training), the fault-injection suites (ARQ
 # callback-chain lifetimes), and the adaptive-controller suites
 # (long-lived flow network under repeated capacity updates),
-# and the serving hot-path suite (arena lifetimes, packed SV tiles,
-# cross-user batch slicing), and the stats-registry suite (fixed
+# and the serving hot-path suites (arena lifetimes, packed SV tiles,
+# cross-user batch slicing, both builds of the SIMD kernel tests),
+# and the stats-registry suite (fixed
 # cell array bounds, slab growth). Usage:
 #
 #   scripts/check_asan_generator.sh [build-dir]
@@ -26,6 +27,7 @@ cmake --build "$build" \
              test_random_subspace test_crossval \
              test_fault_injection test_trace_export \
              test_controller test_hotpath_identity \
+             test_simd_kernels test_simd_kernels_baseline \
              test_stats_registry \
     -j "$(nproc)"
 ctest --test-dir "$build" \

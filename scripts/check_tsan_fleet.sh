@@ -6,7 +6,8 @@
 # evaluation, shared characterization cache), the ML suites
 # (parallel ensemble training and cross-validation), and the
 # fault-injection suites (shared-channel fleet ARQ), and the serving
-# hot-path suite (cross-user batches sliced across workers), and the
+# hot-path suites (cross-user batches sliced across workers, both
+# builds of the SIMD kernel tests), and the
 # stats-registry suite (concurrent registration, relaxed-atomic
 # cells, snapshot determinism across shards x workers), and the
 # chaos suite (barrier-driven failover migration and queue re-keying
@@ -28,7 +29,8 @@ cmake --build "$build" \
              test_partitioner_property test_ml_parallel \
              test_random_subspace test_crossval \
              test_fault_injection test_trace_export \
-             test_hotpath_identity test_stats_registry \
+             test_hotpath_identity test_simd_kernels \
+             test_simd_kernels_baseline test_stats_registry \
              test_fleet_chaos \
     -j "$(nproc)"
 ctest --test-dir "$build" \

@@ -1,10 +1,20 @@
 #include "common/simd.hh"
 
-#if defined(__x86_64__) || defined(_M_X64)
-#define XPRO_SIMD_X86 1
-#include <emmintrin.h> // SSE2: baseline on x86-64
+// On x86-64 GNU compilers every kernel is built twice, for AVX2 and
+// for the baseline ISA, and GCC's ifunc resolver picks one at load
+// time. Neither target enables FMA and ISO C++ mode keeps
+// -ffp-contract=off, so both clones round each lane exactly like
+// scalar_ref. A build may predefine the macro empty to get the
+// baseline code alone; the kernel tests do, so that code is tested on
+// AVX2 hosts too.
+#ifndef XPRO_SIMD_CLONES
+#if defined(__x86_64__) && defined(__GNUC__)
+#define XPRO_SIMD_CLONES                                               \
+    __attribute__((target_clones("avx2", "default")))
+#define XPRO_SIMD_AVX2_CLONE 1
 #else
-#define XPRO_SIMD_X86 0
+#define XPRO_SIMD_CLONES
+#endif
 #endif
 
 namespace xpro
@@ -128,436 +138,189 @@ moment34Packed(const double *packed, size_t n, const double *mu,
 namespace
 {
 
-// ---- Generic backend -------------------------------------------------
-//
-// Plain elementwise loops. Each output element's arithmetic is the
-// same mul-then-add sequence the intrinsic paths perform per lane,
-// so every backend agrees bitwise.
+// Four doubles: two vectors per simdPackWidth-wide tile row. Eight
+// lanes would spill the accumulators through the stack. aligned(8)
+// makes every dereference an unaligned load or store; may_alias lets
+// the kernels view double buffers through it.
+typedef double V
+    __attribute__((vector_size(32), aligned(8), may_alias));
+using Mask = decltype(V{} < V{});
 
-[[maybe_unused]] void
-genericDotPacked(const double *a, const double *packed, size_t n,
-                 double *out)
-{
-    double acc[simdPackWidth] = {};
-    for (size_t k = 0; k < n; ++k) {
-        const double ak = a[k];
-        const double *col = packed + k * simdPackWidth;
-        for (size_t j = 0; j < simdPackWidth; ++j)
-            acc[j] += ak * col[j];
-    }
-    for (size_t j = 0; j < simdPackWidth; ++j)
-        out[j] = acc[j];
-}
-
-[[maybe_unused]] void
-genericSquaredNormsPacked(const double *packed, size_t n, double *out)
-{
-    double acc[simdPackWidth] = {};
-    for (size_t k = 0; k < n; ++k) {
-        const double *col = packed + k * simdPackWidth;
-        for (size_t j = 0; j < simdPackWidth; ++j)
-            acc[j] += col[j] * col[j];
-    }
-    for (size_t j = 0; j < simdPackWidth; ++j)
-        out[j] = acc[j];
-}
-
-#if XPRO_SIMD_X86
-
-// ---- SSE2 backend ----------------------------------------------------
-
-void
-sse2Scale(double *dst, const double *src, double c, size_t n)
-{
-    const __m128d vc = _mm_set1_pd(c);
-    size_t i = 0;
-    for (; i + 2 <= n; i += 2)
-        _mm_storeu_pd(dst + i,
-                      _mm_mul_pd(vc, _mm_loadu_pd(src + i)));
-    for (; i < n; ++i)
-        dst[i] = c * src[i];
-}
-
-void
-sse2Axpy(double *dst, const double *src, double c, size_t n)
-{
-    const __m128d vc = _mm_set1_pd(c);
-    size_t i = 0;
-    for (; i + 2 <= n; i += 2) {
-        const __m128d v = _mm_add_pd(
-            _mm_loadu_pd(dst + i),
-            _mm_mul_pd(vc, _mm_loadu_pd(src + i)));
-        _mm_storeu_pd(dst + i, v);
-    }
-    for (; i < n; ++i)
-        dst[i] += c * src[i];
-}
-
-void
-sse2DotPacked(const double *a, const double *packed, size_t n,
-              double *out)
-{
-    __m128d acc0 = _mm_setzero_pd();
-    __m128d acc1 = _mm_setzero_pd();
-    __m128d acc2 = _mm_setzero_pd();
-    __m128d acc3 = _mm_setzero_pd();
-    for (size_t k = 0; k < n; ++k) {
-        const __m128d ak = _mm_set1_pd(a[k]);
-        const double *col = packed + k * simdPackWidth;
-        acc0 = _mm_add_pd(acc0,
-                          _mm_mul_pd(ak, _mm_loadu_pd(col + 0)));
-        acc1 = _mm_add_pd(acc1,
-                          _mm_mul_pd(ak, _mm_loadu_pd(col + 2)));
-        acc2 = _mm_add_pd(acc2,
-                          _mm_mul_pd(ak, _mm_loadu_pd(col + 4)));
-        acc3 = _mm_add_pd(acc3,
-                          _mm_mul_pd(ak, _mm_loadu_pd(col + 6)));
-    }
-    _mm_storeu_pd(out + 0, acc0);
-    _mm_storeu_pd(out + 2, acc1);
-    _mm_storeu_pd(out + 4, acc2);
-    _mm_storeu_pd(out + 6, acc3);
-}
-
-void
-sse2SquaredNormsPacked(const double *packed, size_t n, double *out)
-{
-    __m128d acc0 = _mm_setzero_pd();
-    __m128d acc1 = _mm_setzero_pd();
-    __m128d acc2 = _mm_setzero_pd();
-    __m128d acc3 = _mm_setzero_pd();
-    for (size_t k = 0; k < n; ++k) {
-        const double *col = packed + k * simdPackWidth;
-        const __m128d c0 = _mm_loadu_pd(col + 0);
-        const __m128d c1 = _mm_loadu_pd(col + 2);
-        const __m128d c2 = _mm_loadu_pd(col + 4);
-        const __m128d c3 = _mm_loadu_pd(col + 6);
-        acc0 = _mm_add_pd(acc0, _mm_mul_pd(c0, c0));
-        acc1 = _mm_add_pd(acc1, _mm_mul_pd(c1, c1));
-        acc2 = _mm_add_pd(acc2, _mm_mul_pd(c2, c2));
-        acc3 = _mm_add_pd(acc3, _mm_mul_pd(c3, c3));
-    }
-    _mm_storeu_pd(out + 0, acc0);
-    _mm_storeu_pd(out + 2, acc1);
-    _mm_storeu_pd(out + 4, acc2);
-    _mm_storeu_pd(out + 6, acc3);
-}
-
-void
-sse2ZScore(double *dst, const double *src, double mu, double sigma,
-           size_t n)
-{
-    const __m128d vmu = _mm_set1_pd(mu);
-    const __m128d vsigma = _mm_set1_pd(sigma);
-    size_t i = 0;
-    for (; i + 2 <= n; i += 2) {
-        const __m128d v = _mm_div_pd(
-            _mm_sub_pd(_mm_loadu_pd(src + i), vmu), vsigma);
-        _mm_storeu_pd(dst + i, v);
-    }
-    for (; i < n; ++i)
-        dst[i] = (src[i] - mu) / sigma;
-}
-
-void
-sse2MaxMinSumPacked(const double *packed, size_t n, double *maxOut,
-                    double *minOut, double *sumOut)
-{
-    // _mm_max_pd(v, acc) keeps acc on ties (including -0.0 vs 0.0),
-    // matching std::max_element's update-only-if-strictly-greater;
-    // same for min.
-    __m128d mx0 = _mm_loadu_pd(packed + 0);
-    __m128d mx1 = _mm_loadu_pd(packed + 2);
-    __m128d mx2 = _mm_loadu_pd(packed + 4);
-    __m128d mx3 = _mm_loadu_pd(packed + 6);
-    __m128d mn0 = mx0, mn1 = mx1, mn2 = mx2, mn3 = mx3;
-    __m128d sm0 = _mm_setzero_pd();
-    __m128d sm1 = _mm_setzero_pd();
-    __m128d sm2 = _mm_setzero_pd();
-    __m128d sm3 = _mm_setzero_pd();
-    for (size_t i = 0; i < n; ++i) {
-        const double *row = packed + i * simdPackWidth;
-        const __m128d v0 = _mm_loadu_pd(row + 0);
-        const __m128d v1 = _mm_loadu_pd(row + 2);
-        const __m128d v2 = _mm_loadu_pd(row + 4);
-        const __m128d v3 = _mm_loadu_pd(row + 6);
-        mx0 = _mm_max_pd(v0, mx0);
-        mx1 = _mm_max_pd(v1, mx1);
-        mx2 = _mm_max_pd(v2, mx2);
-        mx3 = _mm_max_pd(v3, mx3);
-        mn0 = _mm_min_pd(v0, mn0);
-        mn1 = _mm_min_pd(v1, mn1);
-        mn2 = _mm_min_pd(v2, mn2);
-        mn3 = _mm_min_pd(v3, mn3);
-        sm0 = _mm_add_pd(sm0, v0);
-        sm1 = _mm_add_pd(sm1, v1);
-        sm2 = _mm_add_pd(sm2, v2);
-        sm3 = _mm_add_pd(sm3, v3);
-    }
-    _mm_storeu_pd(maxOut + 0, mx0);
-    _mm_storeu_pd(maxOut + 2, mx1);
-    _mm_storeu_pd(maxOut + 4, mx2);
-    _mm_storeu_pd(maxOut + 6, mx3);
-    _mm_storeu_pd(minOut + 0, mn0);
-    _mm_storeu_pd(minOut + 2, mn1);
-    _mm_storeu_pd(minOut + 4, mn2);
-    _mm_storeu_pd(minOut + 6, mn3);
-    _mm_storeu_pd(sumOut + 0, sm0);
-    _mm_storeu_pd(sumOut + 2, sm1);
-    _mm_storeu_pd(sumOut + 4, sm2);
-    _mm_storeu_pd(sumOut + 6, sm3);
-}
-
-void
-sse2CenteredSquareSumPacked(const double *packed, size_t n,
-                            const double *mu, double *accOut)
-{
-    const __m128d mu0 = _mm_loadu_pd(mu + 0);
-    const __m128d mu1 = _mm_loadu_pd(mu + 2);
-    const __m128d mu2 = _mm_loadu_pd(mu + 4);
-    const __m128d mu3 = _mm_loadu_pd(mu + 6);
-    __m128d a0 = _mm_setzero_pd();
-    __m128d a1 = _mm_setzero_pd();
-    __m128d a2 = _mm_setzero_pd();
-    __m128d a3 = _mm_setzero_pd();
-    for (size_t i = 0; i < n; ++i) {
-        const double *row = packed + i * simdPackWidth;
-        const __m128d d0 = _mm_sub_pd(_mm_loadu_pd(row + 0), mu0);
-        const __m128d d1 = _mm_sub_pd(_mm_loadu_pd(row + 2), mu1);
-        const __m128d d2 = _mm_sub_pd(_mm_loadu_pd(row + 4), mu2);
-        const __m128d d3 = _mm_sub_pd(_mm_loadu_pd(row + 6), mu3);
-        a0 = _mm_add_pd(a0, _mm_mul_pd(d0, d0));
-        a1 = _mm_add_pd(a1, _mm_mul_pd(d1, d1));
-        a2 = _mm_add_pd(a2, _mm_mul_pd(d2, d2));
-        a3 = _mm_add_pd(a3, _mm_mul_pd(d3, d3));
-    }
-    _mm_storeu_pd(accOut + 0, a0);
-    _mm_storeu_pd(accOut + 2, a1);
-    _mm_storeu_pd(accOut + 4, a2);
-    _mm_storeu_pd(accOut + 6, a3);
-}
-
-void
-sse2SignCrossingsPacked(const double *packed, size_t n, double *out)
-{
-    // cmplt masks are all-ones where the sample is negative; XOR of
-    // consecutive masks marks a sign change, and subtracting the
-    // -1/0 lanes from integer counters counts them exactly.
-    const __m128d zero = _mm_setzero_pd();
-    __m128i c0 = _mm_setzero_si128();
-    __m128i c1 = _mm_setzero_si128();
-    __m128i c2 = _mm_setzero_si128();
-    __m128i c3 = _mm_setzero_si128();
-    __m128d p0 = _mm_cmplt_pd(_mm_loadu_pd(packed + 0), zero);
-    __m128d p1 = _mm_cmplt_pd(_mm_loadu_pd(packed + 2), zero);
-    __m128d p2 = _mm_cmplt_pd(_mm_loadu_pd(packed + 4), zero);
-    __m128d p3 = _mm_cmplt_pd(_mm_loadu_pd(packed + 6), zero);
-    for (size_t i = 1; i < n; ++i) {
-        const double *row = packed + i * simdPackWidth;
-        const __m128d q0 =
-            _mm_cmplt_pd(_mm_loadu_pd(row + 0), zero);
-        const __m128d q1 =
-            _mm_cmplt_pd(_mm_loadu_pd(row + 2), zero);
-        const __m128d q2 =
-            _mm_cmplt_pd(_mm_loadu_pd(row + 4), zero);
-        const __m128d q3 =
-            _mm_cmplt_pd(_mm_loadu_pd(row + 6), zero);
-        c0 = _mm_sub_epi64(c0,
-                           _mm_castpd_si128(_mm_xor_pd(p0, q0)));
-        c1 = _mm_sub_epi64(c1,
-                           _mm_castpd_si128(_mm_xor_pd(p1, q1)));
-        c2 = _mm_sub_epi64(c2,
-                           _mm_castpd_si128(_mm_xor_pd(p2, q2)));
-        c3 = _mm_sub_epi64(c3,
-                           _mm_castpd_si128(_mm_xor_pd(p3, q3)));
-        p0 = q0;
-        p1 = q1;
-        p2 = q2;
-        p3 = q3;
-    }
-    long long counts[simdPackWidth];
-    _mm_storeu_si128(reinterpret_cast<__m128i *>(counts + 0), c0);
-    _mm_storeu_si128(reinterpret_cast<__m128i *>(counts + 2), c1);
-    _mm_storeu_si128(reinterpret_cast<__m128i *>(counts + 4), c2);
-    _mm_storeu_si128(reinterpret_cast<__m128i *>(counts + 6), c3);
-    for (size_t j = 0; j < simdPackWidth; ++j)
-        out[j] = static_cast<double>(counts[j]);
-}
-
-void
-sse2Moment34Packed(const double *packed, size_t n, const double *mu,
-                   const double *sigma, double *acc3, double *acc4)
-{
-    const __m128d mu0 = _mm_loadu_pd(mu + 0);
-    const __m128d mu1 = _mm_loadu_pd(mu + 2);
-    const __m128d mu2 = _mm_loadu_pd(mu + 4);
-    const __m128d mu3 = _mm_loadu_pd(mu + 6);
-    const __m128d sg0 = _mm_loadu_pd(sigma + 0);
-    const __m128d sg1 = _mm_loadu_pd(sigma + 2);
-    const __m128d sg2 = _mm_loadu_pd(sigma + 4);
-    const __m128d sg3 = _mm_loadu_pd(sigma + 6);
-    __m128d a30 = _mm_setzero_pd(), a31 = _mm_setzero_pd();
-    __m128d a32 = _mm_setzero_pd(), a33 = _mm_setzero_pd();
-    __m128d a40 = _mm_setzero_pd(), a41 = _mm_setzero_pd();
-    __m128d a42 = _mm_setzero_pd(), a43 = _mm_setzero_pd();
-    for (size_t i = 0; i < n; ++i) {
-        const double *row = packed + i * simdPackWidth;
-        const __m128d z0 = _mm_div_pd(
-            _mm_sub_pd(_mm_loadu_pd(row + 0), mu0), sg0);
-        const __m128d z1 = _mm_div_pd(
-            _mm_sub_pd(_mm_loadu_pd(row + 2), mu1), sg1);
-        const __m128d z2 = _mm_div_pd(
-            _mm_sub_pd(_mm_loadu_pd(row + 4), mu2), sg2);
-        const __m128d z3 = _mm_div_pd(
-            _mm_sub_pd(_mm_loadu_pd(row + 6), mu3), sg3);
-        const __m128d c0 =
-            _mm_mul_pd(_mm_mul_pd(z0, z0), z0);
-        const __m128d c1 =
-            _mm_mul_pd(_mm_mul_pd(z1, z1), z1);
-        const __m128d c2 =
-            _mm_mul_pd(_mm_mul_pd(z2, z2), z2);
-        const __m128d c3 =
-            _mm_mul_pd(_mm_mul_pd(z3, z3), z3);
-        a30 = _mm_add_pd(a30, c0);
-        a31 = _mm_add_pd(a31, c1);
-        a32 = _mm_add_pd(a32, c2);
-        a33 = _mm_add_pd(a33, c3);
-        a40 = _mm_add_pd(a40, _mm_mul_pd(c0, z0));
-        a41 = _mm_add_pd(a41, _mm_mul_pd(c1, z1));
-        a42 = _mm_add_pd(a42, _mm_mul_pd(c2, z2));
-        a43 = _mm_add_pd(a43, _mm_mul_pd(c3, z3));
-    }
-    _mm_storeu_pd(acc3 + 0, a30);
-    _mm_storeu_pd(acc3 + 2, a31);
-    _mm_storeu_pd(acc3 + 4, a32);
-    _mm_storeu_pd(acc3 + 6, a33);
-    _mm_storeu_pd(acc4 + 0, a40);
-    _mm_storeu_pd(acc4 + 2, a41);
-    _mm_storeu_pd(acc4 + 4, a42);
-    _mm_storeu_pd(acc4 + 6, a43);
-}
-
-#endif // XPRO_SIMD_X86
-
-struct Backend
-{
-    const char *name;
-    void (*scale)(double *, const double *, double, size_t);
-    void (*axpy)(double *, const double *, double, size_t);
-    void (*dotPacked)(const double *, const double *, size_t,
-                      double *);
-    void (*squaredNormsPacked)(const double *, size_t, double *);
-    void (*zscore)(double *, const double *, double, double, size_t);
-    void (*maxMinSumPacked)(const double *, size_t, double *,
-                            double *, double *);
-    void (*centeredSquareSumPacked)(const double *, size_t,
-                                    const double *, double *);
-    void (*signCrossingsPacked)(const double *, size_t, double *);
-    void (*moment34Packed)(const double *, size_t, const double *,
-                           const double *, double *, double *);
-};
-
-Backend
-pickBackend()
-{
-#if XPRO_SIMD_AVX2_AVAILABLE
-    if (__builtin_cpu_supports("avx2")) {
-        return {"avx2", detail::avx2Scale, detail::avx2Axpy,
-                detail::avx2DotPacked,
-                detail::avx2SquaredNormsPacked, detail::avx2ZScore,
-                detail::avx2MaxMinSumPacked,
-                detail::avx2CenteredSquareSumPacked,
-                detail::avx2SignCrossingsPacked,
-                detail::avx2Moment34Packed};
-    }
-#endif
-#if XPRO_SIMD_X86
-    return {"sse2", sse2Scale, sse2Axpy, sse2DotPacked,
-            sse2SquaredNormsPacked, sse2ZScore,
-            sse2MaxMinSumPacked, sse2CenteredSquareSumPacked,
-            sse2SignCrossingsPacked, sse2Moment34Packed};
-#else
-    return {"generic", scalar_ref::scale, scalar_ref::axpy,
-            genericDotPacked, genericSquaredNormsPacked,
-            scalar_ref::zscore, scalar_ref::maxMinSumPacked,
-            scalar_ref::centeredSquareSumPacked,
-            scalar_ref::signCrossingsPacked,
-            scalar_ref::moment34Packed};
-#endif
-}
-
-const Backend &
-backend()
-{
-    static const Backend chosen = pickBackend();
-    return chosen;
-}
+constexpr size_t vecWidth = sizeof(V) / sizeof(double);
+static_assert(simdPackWidth == 2 * vecWidth);
 
 } // namespace
 
 const char *
 simdBackendName()
 {
-    return backend().name;
+#ifdef XPRO_SIMD_AVX2_CLONE
+    if (__builtin_cpu_supports("avx2"))
+        return "avx2";
+#endif
+    return "generic";
 }
 
-void
+XPRO_SIMD_CLONES void
 simdScale(double *dst, const double *src, double c, size_t n)
 {
-    backend().scale(dst, src, c, n);
+    size_t i = 0;
+    for (; i + vecWidth <= n; i += vecWidth)
+        *reinterpret_cast<V *>(dst + i) =
+            c * *reinterpret_cast<const V *>(src + i);
+    for (; i < n; ++i)
+        dst[i] = c * src[i];
 }
 
-void
+XPRO_SIMD_CLONES void
 simdAxpy(double *dst, const double *src, double c, size_t n)
 {
-    backend().axpy(dst, src, c, n);
+    size_t i = 0;
+    for (; i + vecWidth <= n; i += vecWidth)
+        *reinterpret_cast<V *>(dst + i) +=
+            c * *reinterpret_cast<const V *>(src + i);
+    for (; i < n; ++i)
+        dst[i] += c * src[i];
 }
 
-void
+XPRO_SIMD_CLONES void
 simdDotPacked(const double *a, const double *packed, size_t n,
               double *out)
 {
-    backend().dotPacked(a, packed, n, out);
+    const V *tile = reinterpret_cast<const V *>(packed);
+    V acc0 = {}, acc1 = {};
+    for (size_t k = 0; k < n; ++k) {
+        acc0 += a[k] * tile[2 * k];
+        acc1 += a[k] * tile[2 * k + 1];
+    }
+    V *lanes = reinterpret_cast<V *>(out);
+    lanes[0] = acc0;
+    lanes[1] = acc1;
 }
 
-void
+XPRO_SIMD_CLONES void
 simdSquaredNormsPacked(const double *packed, size_t n, double *out)
 {
-    backend().squaredNormsPacked(packed, n, out);
+    const V *tile = reinterpret_cast<const V *>(packed);
+    V acc0 = {}, acc1 = {};
+    for (size_t k = 0; k < n; ++k) {
+        const V c0 = tile[2 * k], c1 = tile[2 * k + 1];
+        acc0 += c0 * c0;
+        acc1 += c1 * c1;
+    }
+    V *lanes = reinterpret_cast<V *>(out);
+    lanes[0] = acc0;
+    lanes[1] = acc1;
 }
 
-void
+XPRO_SIMD_CLONES void
 simdZScore(double *dst, const double *src, double mu, double sigma,
            size_t n)
 {
-    backend().zscore(dst, src, mu, sigma, n);
+    size_t i = 0;
+    for (; i + vecWidth <= n; i += vecWidth)
+        *reinterpret_cast<V *>(dst + i) =
+            (*reinterpret_cast<const V *>(src + i) - mu) / sigma;
+    for (; i < n; ++i)
+        dst[i] = (src[i] - mu) / sigma;
 }
 
-void
+XPRO_SIMD_CLONES void
 simdMaxMinSumPacked(const double *packed, size_t n, double *maxOut,
                     double *minOut, double *sumOut)
 {
-    backend().maxMinSumPacked(packed, n, maxOut, minOut, sumOut);
+    // Strict compares keep the accumulator on ties, -0.0 vs 0.0
+    // included: std::max_element's update rule, and scalar_ref's.
+    const V *tile = reinterpret_cast<const V *>(packed);
+    V mx0 = tile[0], mx1 = tile[1];
+    V mn0 = mx0, mn1 = mx1;
+    V sm0 = {}, sm1 = {};
+    for (size_t i = 0; i < n; ++i) {
+        const V v0 = tile[2 * i], v1 = tile[2 * i + 1];
+        mx0 = v0 > mx0 ? v0 : mx0;
+        mx1 = v1 > mx1 ? v1 : mx1;
+        mn0 = v0 < mn0 ? v0 : mn0;
+        mn1 = v1 < mn1 ? v1 : mn1;
+        sm0 += v0;
+        sm1 += v1;
+    }
+    V *maxLanes = reinterpret_cast<V *>(maxOut);
+    V *minLanes = reinterpret_cast<V *>(minOut);
+    V *sumLanes = reinterpret_cast<V *>(sumOut);
+    maxLanes[0] = mx0;
+    maxLanes[1] = mx1;
+    minLanes[0] = mn0;
+    minLanes[1] = mn1;
+    sumLanes[0] = sm0;
+    sumLanes[1] = sm1;
 }
 
-void
+XPRO_SIMD_CLONES void
 simdCenteredSquareSumPacked(const double *packed, size_t n,
                             const double *mu, double *accOut)
 {
-    backend().centeredSquareSumPacked(packed, n, mu, accOut);
+    const V *tile = reinterpret_cast<const V *>(packed);
+    const V *muLanes = reinterpret_cast<const V *>(mu);
+    const V mu0 = muLanes[0], mu1 = muLanes[1];
+    V a0 = {}, a1 = {};
+    for (size_t i = 0; i < n; ++i) {
+        const V d0 = tile[2 * i] - mu0, d1 = tile[2 * i + 1] - mu1;
+        a0 += d0 * d0;
+        a1 += d1 * d1;
+    }
+    V *lanes = reinterpret_cast<V *>(accOut);
+    lanes[0] = a0;
+    lanes[1] = a1;
 }
 
-void
+XPRO_SIMD_CLONES void
 simdSignCrossingsPacked(const double *packed, size_t n, double *out)
 {
-    backend().signCrossingsPacked(packed, n, out);
+    // Negative-sample masks (-1/0 per lane) XORed across consecutive
+    // rows mark sign changes; subtracting them counts exactly.
+    const V *tile = reinterpret_cast<const V *>(packed);
+    const V zero = {};
+    Mask p0 = tile[0] < zero, p1 = tile[1] < zero;
+    Mask c0 = {}, c1 = {};
+    for (size_t i = 1; i < n; ++i) {
+        const Mask q0 = tile[2 * i] < zero;
+        const Mask q1 = tile[2 * i + 1] < zero;
+        c0 -= p0 ^ q0;
+        c1 -= p1 ^ q1;
+        p0 = q0;
+        p1 = q1;
+    }
+    for (size_t j = 0; j < vecWidth; ++j) {
+        out[j] = static_cast<double>(c0[j]);
+        out[vecWidth + j] = static_cast<double>(c1[j]);
+    }
 }
 
-void
+XPRO_SIMD_CLONES void
 simdMoment34Packed(const double *packed, size_t n, const double *mu,
                    const double *sigma, double *acc3, double *acc4)
 {
-    backend().moment34Packed(packed, n, mu, sigma, acc3, acc4);
+    const V *tile = reinterpret_cast<const V *>(packed);
+    const V *muLanes = reinterpret_cast<const V *>(mu);
+    const V *sigmaLanes = reinterpret_cast<const V *>(sigma);
+    const V mu0 = muLanes[0], mu1 = muLanes[1];
+    const V sg0 = sigmaLanes[0], sg1 = sigmaLanes[1];
+    V a30 = {}, a31 = {}, a40 = {}, a41 = {};
+    for (size_t i = 0; i < n; ++i) {
+        const V z0 = (tile[2 * i] - mu0) / sg0;
+        const V z1 = (tile[2 * i + 1] - mu1) / sg1;
+        const V c0 = z0 * z0 * z0, c1 = z1 * z1 * z1;
+        a30 += c0;
+        a31 += c1;
+        a40 += c0 * z0;
+        a41 += c1 * z1;
+    }
+    V *lanes3 = reinterpret_cast<V *>(acc3);
+    V *lanes4 = reinterpret_cast<V *>(acc4);
+    lanes3[0] = a30;
+    lanes3[1] = a31;
+    lanes4[0] = a40;
+    lanes4[1] = a41;
 }
 
 void

@@ -6,17 +6,15 @@
  * across independent output elements while each output's reduction
  * stays serial left-to-right, so results are bit-identical to the
  * retained scalar references below (and to the pre-SIMD code) on
- * every backend. That is the contract the differential test harness
- * (tests/test_hotpath_identity.cc, ctest label `hotpath`) enforces
- * with *exact* comparisons — no ULP slack needed.
+ * every ISA. That is the contract the differential tests
+ * (tests/test_simd_kernels.cc and tests/test_hotpath_identity.cc,
+ * ctest label `hotpath`) enforce bit for bit — no ULP slack needed.
  *
- * The wrapper dispatches at load time: a generic C++ fallback
- * everywhere, hand-written SSE2 intrinsics on x86-64 (baseline ISA,
- * no extra compile flags), and AVX2 intrinsics from a separately
- * compiled translation unit selected with __builtin_cpu_supports()
- * when both the compiler and the host CPU have AVX2. None of the
- * paths uses FMA contraction, so per-lane arithmetic is identical
- * across backends.
+ * Each kernel has one source, written with GCC vector extensions
+ * over 4-lane double vectors. On x86-64 GNU compilers it is cloned
+ * for AVX2 and for the baseline ISA, and the loader picks the clone
+ * the host supports. Neither clone uses FMA contraction, so per-lane
+ * arithmetic is identical across clones and to scalar_ref.
  *
  * The workhorse is the packed dot-product micro-kernel: the right
  * operand is transposed into a fixed-width interleaved tile
@@ -43,7 +41,7 @@ namespace xpro
  */
 constexpr size_t simdPackWidth = 8;
 
-/** Name of the dispatched backend: "generic", "sse2" or "avx2". */
+/** ISA of the kernel clones this host runs: "avx2" or "generic". */
 const char *simdBackendName();
 
 /** dst[i] = c * src[i] for i in [0, n). */
@@ -142,37 +140,6 @@ void simdMoment34Packed(const double *packed, size_t n,
  */
 void simdPackRows(const double *const *rows, size_t count, size_t n,
                   double *packed);
-
-#if XPRO_SIMD_AVX2_AVAILABLE
-/**
- * AVX2 implementations (simd_avx2.cc, compiled with -mavx2).
- * Internal: reached only through the load-time dispatch in simd.cc
- * after a __builtin_cpu_supports("avx2") check.
- */
-namespace detail
-{
-
-void avx2Scale(double *dst, const double *src, double c, size_t n);
-void avx2Axpy(double *dst, const double *src, double c, size_t n);
-void avx2DotPacked(const double *a, const double *packed, size_t n,
-                   double *out);
-void avx2SquaredNormsPacked(const double *packed, size_t n,
-                            double *out);
-void avx2ZScore(double *dst, const double *src, double mu,
-                double sigma, size_t n);
-void avx2MaxMinSumPacked(const double *packed, size_t n,
-                         double *maxOut, double *minOut,
-                         double *sumOut);
-void avx2CenteredSquareSumPacked(const double *packed, size_t n,
-                                 const double *mu, double *accOut);
-void avx2SignCrossingsPacked(const double *packed, size_t n,
-                             double *out);
-void avx2Moment34Packed(const double *packed, size_t n,
-                        const double *mu, const double *sigma,
-                        double *acc3, double *acc4);
-
-} // namespace detail
-#endif
 
 /**
  * Retained scalar references for the differential tests: plain

@@ -1,11 +1,11 @@
 /**
  * @file
  * Differential test harness for the allocation-free SIMD serving hot
- * path (ctest label `hotpath`). Every vectorized kernel is compared
- * against its retained scalar reference with EXACT equality — the
- * order-preserving SIMD contract (common/simd.hh) promises
- * bit-identical results, so no ULP slack appears anywhere in this
- * file. The same discipline covers the compiled serving pipeline
+ * path (ctest label `hotpath`). The kernels themselves are checked
+ * in test_simd_kernels.cc; the order-preserving SIMD contract
+ * (common/simd.hh) promises bit-identical results, so no ULP slack
+ * appears anywhere in this file either. The same discipline covers
+ * the packed statistics and DWT passes, the compiled serving pipeline
  * (HotPathPipeline vs TrainedPipeline), cross-user batching at every
  * batch size and worker count, and the fleet report bytes. The
  * counting allocator (alloc_count.hh) then pins the other half of
@@ -57,171 +57,6 @@ randomMatrix(Rng &rng, size_t rows, size_t cols)
             m.rowData(i)[j] = rng.uniform(-2.0, 2.0);
     }
     return m;
-}
-
-// --- SIMD kernels vs scalar references ----------------------------
-
-TEST(SimdKernelTest, BackendNameIsKnown)
-{
-    const std::string name = simdBackendName();
-    EXPECT_TRUE(name == "generic" || name == "sse2" ||
-                name == "avx2")
-        << name;
-}
-
-TEST(SimdKernelTest, ScaleMatchesScalarReferenceExactly)
-{
-    Rng rng(40601);
-    for (size_t n : {0u, 1u, 2u, 3u, 4u, 5u, 7u, 8u, 13u, 64u, 100u}) {
-        const std::vector<double> src = randomVector(rng, n);
-        const double c = rng.uniform(-3.0, 3.0);
-        std::vector<double> simd(n, -1.0), scalar(n, -1.0);
-        simdScale(simd.data(), src.data(), c, n);
-        scalar_ref::scale(scalar.data(), src.data(), c, n);
-        EXPECT_EQ(0, std::memcmp(simd.data(), scalar.data(),
-                                 n * sizeof(double)))
-            << "n=" << n;
-    }
-}
-
-TEST(SimdKernelTest, AxpyMatchesScalarReferenceExactly)
-{
-    Rng rng(40602);
-    for (size_t n : {0u, 1u, 2u, 3u, 4u, 5u, 7u, 8u, 13u, 64u, 100u}) {
-        const std::vector<double> src = randomVector(rng, n);
-        const std::vector<double> base = randomVector(rng, n);
-        const double c = rng.uniform(-3.0, 3.0);
-        std::vector<double> simd = base, scalar = base;
-        simdAxpy(simd.data(), src.data(), c, n);
-        scalar_ref::axpy(scalar.data(), src.data(), c, n);
-        EXPECT_EQ(0, std::memcmp(simd.data(), scalar.data(),
-                                 n * sizeof(double)))
-            << "n=" << n;
-    }
-}
-
-TEST(SimdKernelTest, DotPackedMatchesPerColumnScalarDots)
-{
-    Rng rng(40603);
-    for (size_t n : {1u, 2u, 3u, 5u, 8u, 17u, 48u, 129u}) {
-        for (size_t count = 1; count <= simdPackWidth; ++count) {
-            std::vector<std::vector<double>> rows;
-            std::vector<const double *> rowPtrs;
-            for (size_t j = 0; j < count; ++j) {
-                rows.push_back(randomVector(rng, n));
-                rowPtrs.push_back(rows.back().data());
-            }
-            std::vector<double> packed(n * simdPackWidth);
-            simdPackRows(rowPtrs.data(), count, n, packed.data());
-
-            const std::vector<double> a = randomVector(rng, n);
-            double lanes[simdPackWidth];
-            simdDotPacked(a.data(), packed.data(), n, lanes);
-            for (size_t j = 0; j < count; ++j) {
-                EXPECT_EQ(lanes[j], scalar_ref::dot(a.data(),
-                                                    rows[j].data(),
-                                                    n))
-                    << "n=" << n << " lane " << j;
-            }
-            // Zero-filled pad lanes produce exact zero dots.
-            for (size_t j = count; j < simdPackWidth; ++j)
-                EXPECT_EQ(lanes[j], 0.0);
-        }
-    }
-}
-
-TEST(SimdKernelTest, SquaredNormsPackedMatchesScalar)
-{
-    Rng rng(40604);
-    for (size_t n : {1u, 2u, 7u, 8u, 31u, 96u}) {
-        std::vector<std::vector<double>> rows;
-        std::vector<const double *> rowPtrs;
-        for (size_t j = 0; j < simdPackWidth; ++j) {
-            rows.push_back(randomVector(rng, n));
-            rowPtrs.push_back(rows.back().data());
-        }
-        std::vector<double> packed(n * simdPackWidth);
-        simdPackRows(rowPtrs.data(), simdPackWidth, n,
-                     packed.data());
-        double lanes[simdPackWidth];
-        simdSquaredNormsPacked(packed.data(), n, lanes);
-        for (size_t j = 0; j < simdPackWidth; ++j) {
-            EXPECT_EQ(lanes[j],
-                      scalar_ref::squaredNorm(rows[j].data(), n))
-                << "n=" << n << " lane " << j;
-        }
-    }
-}
-
-TEST(SimdKernelTest, ZScoreMatchesScalarReferenceExactly)
-{
-    Rng rng(50505);
-    for (size_t n : {1u, 2u, 3u, 4u, 5u, 8u, 17u, 64u, 187u}) {
-        const std::vector<double> src = randomVector(rng, n);
-        const double mu = rng.uniform(-1.0, 1.0);
-        const double sigma = rng.uniform(0.1, 3.0);
-        std::vector<double> got(n, -1.0);
-        std::vector<double> want(n, -2.0);
-        simdZScore(got.data(), src.data(), mu, sigma, n);
-        scalar_ref::zscore(want.data(), src.data(), mu, sigma, n);
-        for (size_t i = 0; i < n; ++i)
-            EXPECT_EQ(got[i], want[i]) << "n=" << n << " i=" << i;
-    }
-}
-
-TEST(SimdKernelTest, PackedStatsKernelsMatchScalarReference)
-{
-    Rng rng(70707);
-    for (size_t n : {1u, 2u, 3u, 8u, 64u, 187u}) {
-        std::vector<std::vector<double>> rows;
-        std::vector<const double *> rowPtrs;
-        for (size_t j = 0; j < simdPackWidth; ++j) {
-            rows.push_back(randomVector(rng, n));
-            rowPtrs.push_back(rows.back().data());
-        }
-        std::vector<double> packed(n * simdPackWidth);
-        simdPackRows(rowPtrs.data(), simdPackWidth, n,
-                     packed.data());
-
-        double mx[simdPackWidth], mn[simdPackWidth];
-        double sum[simdPackWidth];
-        double rmx[simdPackWidth], rmn[simdPackWidth];
-        double rsum[simdPackWidth];
-        simdMaxMinSumPacked(packed.data(), n, mx, mn, sum);
-        scalar_ref::maxMinSumPacked(packed.data(), n, rmx, rmn,
-                                    rsum);
-
-        double mu[simdPackWidth], sigma[simdPackWidth];
-        for (size_t j = 0; j < simdPackWidth; ++j) {
-            mu[j] = rsum[j] / static_cast<double>(n);
-            sigma[j] = rng.uniform(0.5, 2.0);
-        }
-        double acc[simdPackWidth], racc[simdPackWidth];
-        simdCenteredSquareSumPacked(packed.data(), n, mu, acc);
-        scalar_ref::centeredSquareSumPacked(packed.data(), n, mu,
-                                            racc);
-        double cz[simdPackWidth], rcz[simdPackWidth];
-        simdSignCrossingsPacked(packed.data(), n, cz);
-        scalar_ref::signCrossingsPacked(packed.data(), n, rcz);
-        double a3[simdPackWidth], a4[simdPackWidth];
-        double ra3[simdPackWidth], ra4[simdPackWidth];
-        simdMoment34Packed(packed.data(), n, mu, sigma, a3, a4);
-        scalar_ref::moment34Packed(packed.data(), n, mu, sigma, ra3,
-                                   ra4);
-
-        for (size_t j = 0; j < simdPackWidth; ++j) {
-            EXPECT_EQ(mx[j], rmx[j]) << "max n=" << n << " j=" << j;
-            EXPECT_EQ(mn[j], rmn[j]) << "min n=" << n << " j=" << j;
-            EXPECT_EQ(sum[j], rsum[j])
-                << "sum n=" << n << " j=" << j;
-            EXPECT_EQ(acc[j], racc[j])
-                << "var acc n=" << n << " j=" << j;
-            EXPECT_EQ(cz[j], rcz[j])
-                << "crossings n=" << n << " j=" << j;
-            EXPECT_EQ(a3[j], ra3[j]) << "m3 n=" << n << " j=" << j;
-            EXPECT_EQ(a4[j], ra4[j]) << "m4 n=" << n << " j=" << j;
-        }
-    }
 }
 
 // --- Fused statistics pass ----------------------------------------

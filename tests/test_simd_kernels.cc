@@ -1,0 +1,233 @@
+/**
+ * @file
+ * Every common/simd kernel against its retained scalar reference,
+ * compared bit for bit (ctest label `hotpath`). EXPECT_EQ on doubles
+ * treats -0.0 == 0.0, so every comparison here is on the IEEE-754
+ * bit pattern: the max/min tie rule and the sign of zero are part of
+ * the contract.
+ *
+ * This file builds twice: against xpro_common, which runs the clone
+ * the host supports, and against a baseline-only copy of simd.cc
+ * (tests prefixed `baseline.`), so the default clone is tested on
+ * AVX2 hosts too.
+ */
+
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "common/random.hh"
+#include "common/simd.hh"
+
+namespace
+{
+
+using namespace xpro;
+
+std::vector<double>
+randomVector(Rng &rng, size_t n)
+{
+    std::vector<double> values(n);
+    for (double &v : values)
+        v = rng.uniform(-2.0, 2.0);
+    return values;
+}
+
+void
+expectSameBits(const double *got, const double *want, size_t n,
+               const std::string &what)
+{
+    for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(got[i]),
+                  std::bit_cast<uint64_t>(want[i]))
+            << what << " i=" << i << ": " << got[i] << " vs "
+            << want[i];
+    }
+}
+
+TEST(SimdKernelTest, BackendNameIsKnown)
+{
+    const std::string name = simdBackendName();
+    EXPECT_TRUE(name == "generic" || name == "avx2") << name;
+}
+
+TEST(SimdKernelTest, ScaleMatchesScalarReferenceExactly)
+{
+    Rng rng(40601);
+    for (size_t n : {0u, 1u, 2u, 3u, 4u, 5u, 7u, 8u, 13u, 64u, 100u}) {
+        const std::vector<double> src = randomVector(rng, n);
+        const double c = rng.uniform(-3.0, 3.0);
+        std::vector<double> simd(n, -1.0), scalar(n, -1.0);
+        simdScale(simd.data(), src.data(), c, n);
+        scalar_ref::scale(scalar.data(), src.data(), c, n);
+        expectSameBits(simd.data(), scalar.data(), n,
+                       "n=" + std::to_string(n));
+    }
+}
+
+TEST(SimdKernelTest, AxpyMatchesScalarReferenceExactly)
+{
+    Rng rng(40602);
+    for (size_t n : {0u, 1u, 2u, 3u, 4u, 5u, 7u, 8u, 13u, 64u, 100u}) {
+        const std::vector<double> src = randomVector(rng, n);
+        const std::vector<double> base = randomVector(rng, n);
+        const double c = rng.uniform(-3.0, 3.0);
+        std::vector<double> simd = base, scalar = base;
+        simdAxpy(simd.data(), src.data(), c, n);
+        scalar_ref::axpy(scalar.data(), src.data(), c, n);
+        expectSameBits(simd.data(), scalar.data(), n,
+                       "n=" + std::to_string(n));
+    }
+}
+
+TEST(SimdKernelTest, DotPackedMatchesPerColumnScalarDots)
+{
+    Rng rng(40603);
+    for (size_t n : {1u, 2u, 3u, 5u, 8u, 17u, 48u, 129u}) {
+        for (size_t count = 1; count <= simdPackWidth; ++count) {
+            std::vector<std::vector<double>> rows;
+            std::vector<const double *> rowPtrs;
+            for (size_t j = 0; j < count; ++j) {
+                rows.push_back(randomVector(rng, n));
+                rowPtrs.push_back(rows.back().data());
+            }
+            std::vector<double> packed(n * simdPackWidth);
+            simdPackRows(rowPtrs.data(), count, n, packed.data());
+
+            const std::vector<double> a = randomVector(rng, n);
+            double lanes[simdPackWidth];
+            simdDotPacked(a.data(), packed.data(), n, lanes);
+            // Zero-filled pad lanes produce exact zero dots.
+            double want[simdPackWidth] = {};
+            for (size_t j = 0; j < count; ++j)
+                want[j] =
+                    scalar_ref::dot(a.data(), rows[j].data(), n);
+            expectSameBits(lanes, want, simdPackWidth,
+                           "n=" + std::to_string(n) + " count=" +
+                               std::to_string(count));
+        }
+    }
+}
+
+TEST(SimdKernelTest, SquaredNormsPackedMatchesScalar)
+{
+    Rng rng(40604);
+    for (size_t n : {1u, 2u, 7u, 8u, 31u, 96u}) {
+        std::vector<std::vector<double>> rows;
+        std::vector<const double *> rowPtrs;
+        for (size_t j = 0; j < simdPackWidth; ++j) {
+            rows.push_back(randomVector(rng, n));
+            rowPtrs.push_back(rows.back().data());
+        }
+        std::vector<double> packed(n * simdPackWidth);
+        simdPackRows(rowPtrs.data(), simdPackWidth, n,
+                     packed.data());
+        double lanes[simdPackWidth], want[simdPackWidth];
+        simdSquaredNormsPacked(packed.data(), n, lanes);
+        for (size_t j = 0; j < simdPackWidth; ++j)
+            want[j] = scalar_ref::squaredNorm(rows[j].data(), n);
+        expectSameBits(lanes, want, simdPackWidth,
+                       "n=" + std::to_string(n));
+    }
+}
+
+TEST(SimdKernelTest, ZScoreMatchesScalarReferenceExactly)
+{
+    Rng rng(50505);
+    for (size_t n : {1u, 2u, 3u, 4u, 5u, 8u, 17u, 64u, 187u}) {
+        const std::vector<double> src = randomVector(rng, n);
+        const double mu = rng.uniform(-1.0, 1.0);
+        const double sigma = rng.uniform(0.1, 3.0);
+        std::vector<double> got(n, -1.0);
+        std::vector<double> want(n, -2.0);
+        simdZScore(got.data(), src.data(), mu, sigma, n);
+        scalar_ref::zscore(want.data(), src.data(), mu, sigma, n);
+        expectSameBits(got.data(), want.data(), n,
+                       "n=" + std::to_string(n));
+    }
+}
+
+/**
+ * One row per lane, nine samples each, built to hit the tie rules:
+ * ±0.0 ties that start and end on opposite zeros (so "keep the
+ * first" and "take the last" disagree), maxima and minima that
+ * repeat, and exact zeros of both signs between sign changes (any
+ * zero counts as non-negative).
+ */
+std::vector<std::vector<double>>
+signedZeroTieRows()
+{
+    return {
+        {0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, -0.0},
+        {-0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, 0.0},
+        {1.0, 3.0, -2.0, 3.0, -2.0, 3.0, 1.0, -2.0, 3.0},
+        {1.0, 0.0, -1.0, -0.0, 2.0, 0.0, -3.0, 0.0, 0.5},
+        {-1.0, -0.0, 0.0, 1.0, -0.0, -1.0, 0.0, -0.0, -2.0},
+        {2.5, 2.5, 2.5, 2.5, 2.5, 2.5, 2.5, 2.5, 2.5},
+        {-0.0, -0.0, -0.0, 0.0, -0.0, -0.0, 0.0, -0.0, 0.0},
+        {-4.0, 0.0, -4.0, -0.0, 4.0, -0.0, 4.0, 0.0, -4.0},
+    };
+}
+
+/** Runs every packed statistics kernel on @p rows (one per lane, all
+ *  the same length) against its scalar reference. */
+void
+expectPackedStatsMatch(const std::vector<std::vector<double>> &rows,
+                       Rng &rng)
+{
+    const size_t n = rows[0].size();
+    const std::string at = "n=" + std::to_string(n);
+    std::vector<const double *> rowPtrs;
+    for (const std::vector<double> &row : rows)
+        rowPtrs.push_back(row.data());
+    std::vector<double> packed(n * simdPackWidth);
+    simdPackRows(rowPtrs.data(), simdPackWidth, n, packed.data());
+
+    double mx[simdPackWidth], mn[simdPackWidth];
+    double sum[simdPackWidth];
+    double rmx[simdPackWidth], rmn[simdPackWidth];
+    double rsum[simdPackWidth];
+    simdMaxMinSumPacked(packed.data(), n, mx, mn, sum);
+    scalar_ref::maxMinSumPacked(packed.data(), n, rmx, rmn, rsum);
+
+    double mu[simdPackWidth], sigma[simdPackWidth];
+    for (size_t j = 0; j < simdPackWidth; ++j) {
+        mu[j] = rsum[j] / static_cast<double>(n);
+        sigma[j] = rng.uniform(0.5, 2.0);
+    }
+    double acc[simdPackWidth], racc[simdPackWidth];
+    simdCenteredSquareSumPacked(packed.data(), n, mu, acc);
+    scalar_ref::centeredSquareSumPacked(packed.data(), n, mu, racc);
+    double cz[simdPackWidth], rcz[simdPackWidth];
+    simdSignCrossingsPacked(packed.data(), n, cz);
+    scalar_ref::signCrossingsPacked(packed.data(), n, rcz);
+    double a3[simdPackWidth], a4[simdPackWidth];
+    double ra3[simdPackWidth], ra4[simdPackWidth];
+    simdMoment34Packed(packed.data(), n, mu, sigma, a3, a4);
+    scalar_ref::moment34Packed(packed.data(), n, mu, sigma, ra3, ra4);
+
+    expectSameBits(mx, rmx, simdPackWidth, "max " + at);
+    expectSameBits(mn, rmn, simdPackWidth, "min " + at);
+    expectSameBits(sum, rsum, simdPackWidth, "sum " + at);
+    expectSameBits(acc, racc, simdPackWidth, "var acc " + at);
+    expectSameBits(cz, rcz, simdPackWidth, "crossings " + at);
+    expectSameBits(a3, ra3, simdPackWidth, "m3 " + at);
+    expectSameBits(a4, ra4, simdPackWidth, "m4 " + at);
+}
+
+TEST(SimdKernelTest, PackedStatsKernelsMatchScalarReference)
+{
+    Rng rng(70707);
+    for (size_t n : {1u, 2u, 3u, 8u, 64u, 187u}) {
+        std::vector<std::vector<double>> rows;
+        for (size_t j = 0; j < simdPackWidth; ++j)
+            rows.push_back(randomVector(rng, n));
+        expectPackedStatsMatch(rows, rng);
+    }
+    expectPackedStatsMatch(signedZeroTieRows(), rng);
+}
+
+} // namespace

@@ -239,6 +239,26 @@ splitPair(const std::string &value, const char *what)
     return {value.substr(0, colon), value.substr(colon + 1)};
 }
 
+/**
+ * Cap on every thread-count flag: far above any host's useful
+ * parallelism, far below the process thread limit past which thread
+ * creation throws std::system_error.
+ */
+constexpr size_t kMaxWorkerThreads = 256;
+
+/** Cap on --candidates, 100x the paper's budget: one SVM trains per
+ *  candidate, so larger values only exhaust memory. */
+constexpr size_t kMaxCandidates = 10000;
+
+/** Thread count for flags where 0 means one per hardware thread. */
+size_t
+parseAutoWorkersArg(const std::string &value, const char *what)
+{
+    if (parseCountArg(value, what) == 0)
+        return 0;
+    return parseBoundedArg(value, what, kMaxWorkerThreads);
+}
+
 /** Non-negative duration in milliseconds. */
 double
 parseMillisArg(const std::string &value, const char *what)
@@ -451,12 +471,13 @@ main(int argc, char **argv)
             else if (arg == "--ber")
                 ber = parseProbabilityArg(value(), "--ber");
             else if (arg == "--candidates")
-                candidates =
-                    parsePositiveArg(value(), "--candidates");
+                candidates = parseBoundedArg(value(), "--candidates",
+                                             kMaxCandidates);
             else if (arg == "--max-train")
                 max_train = parsePositiveArg(value(), "--max-train");
             else if (arg == "--ml-workers")
-                ml_workers = parseCountArg(value(), "--ml-workers");
+                ml_workers =
+                    parseAutoWorkersArg(value(), "--ml-workers");
             else if (arg == "--trace")
                 trace_path = value();
             else if (arg == "--seed")
@@ -508,10 +529,11 @@ main(int argc, char **argv)
             } else if (arg == "--chaos-trace")
                 chaos_trace_path = value();
             else if (arg == "--workers")
-                workers = parsePositiveArg(value(), "--workers");
+                workers = parseBoundedArg(value(), "--workers",
+                                          kMaxWorkerThreads);
             else if (arg == "--sweep-workers")
-                sweep_workers =
-                    parsePositiveArg(value(), "--sweep-workers");
+                sweep_workers = parseBoundedArg(
+                    value(), "--sweep-workers", kMaxWorkerThreads);
             else if (arg == "--policy")
                 policy = parsePolicy(value());
             else if (arg == "--events")
@@ -525,7 +547,7 @@ main(int argc, char **argv)
                     parseCountArg(value(), "--batch-events");
             else if (arg == "--serve-workers")
                 serve_workers =
-                    parseCountArg(value(), "--serve-workers");
+                    parseAutoWorkersArg(value(), "--serve-workers");
             else if (arg == "--fault-profile")
                 faults = FaultProfile::preset(value());
             else if (arg == "--loss-burst") {
