@@ -9,46 +9,8 @@ namespace xpro
 {
 
 void
-EventQueue::schedule(Time at, Handler handler)
+EventQueue::publishRunStats([[maybe_unused]] size_t executed)
 {
-    xproAssert(at >= _now, "cannot schedule into the past");
-    _events.push_back({at, _nextSequence++, std::move(handler)});
-    std::push_heap(_events.begin(), _events.end(), Later{});
-}
-
-void
-EventQueue::scheduleAfter(Time delay, Handler handler)
-{
-    schedule(_now + delay, std::move(handler));
-}
-
-bool
-EventQueue::runOne()
-{
-    if (_events.empty())
-        return false;
-    // Heap-depth high-water, sampled before the pop: the size seen
-    // here is the local maximum after any burst of schedule() calls,
-    // so per-schedule bookkeeping buys nothing (DESIGN.md §17).
-    XPRO_STAT(_maxPending = std::max(_maxPending, _events.size()));
-    // Move out before running: the handler may schedule new events.
-    std::pop_heap(_events.begin(), _events.end(), Later{});
-    Event event = std::move(_events.back());
-    _events.pop_back();
-    _now = event.at;
-    event.handler();
-    return true;
-}
-
-void
-EventQueue::runAll(size_t max_events)
-{
-    size_t executed = 0;
-    while (runOne()) {
-        if (++executed > max_events)
-            panic("event cap %zu exceeded; simulated system loops",
-                  max_events);
-    }
 #if !defined(XPRO_STATS_OFF)
     // Detailed-path queue telemetry: cumulative events executed and
     // the deepest the heap ever got. Single-threaded per queue and
@@ -66,7 +28,7 @@ EventQueue::runAll(size_t max_events)
     reg.add(ids.run);
     reg.add(ids.events, executed);
     reg.gaugeMax(ids.depth, _maxPending);
-    _maxPending = _events.size();
+    _maxPending = _items.size();
 #endif
 }
 

@@ -1,8 +1,6 @@
 #include "sim/fault_sim.hh"
 
 #include <algorithm>
-#include <memory>
-#include <utility>
 
 #include "common/logging.hh"
 #include "graph/dataflow_graph.hh"
@@ -13,15 +11,6 @@ namespace xpro
 
 namespace
 {
-
-/** Mutable per-packet ARQ progress shared across attempt callbacks. */
-struct ArqJob
-{
-    ArqPacket packet;
-    AttemptCost cost;
-    /** 0-based index of the ongoing attempt. */
-    size_t attempt = 0;
-};
 
 // Stable scope: losses are drawn from the seeded channel in a
 // deterministic single-threaded order, so attempt/retry/drop counts
@@ -49,116 +38,93 @@ arqStatIds()
 
 } // namespace
 
-void
-runArq(EventQueue &queue, FaultState &faults, const WirelessLink &link,
-       ArqPacket packet, SensorEnergyBreakdown *sensor,
-       ChannelGrant grant, std::function<void(const std::string &)> note,
-       ArqDone done)
+ArqPacket
+openArqPacket(FaultState &faults, const WirelessLink &link,
+              size_t payload_bits, bool sender_in_sensor, bool is_probe)
 {
     xproAssert(faults.profile().enabled,
-               "runArq on a disabled fault profile");
-    if (packet.isProbe)
+               "ARQ on a disabled fault profile");
+    if (is_probe)
         ++faults.stats().probes;
     else
         ++faults.stats().packetsOffered;
+    ArqPacket packet;
+    packet.cost = link.attempt(payload_bits);
+    packet.senderInSensor = sender_in_sensor;
+    packet.isProbe = is_probe;
+    return packet;
+}
 
-    auto job = std::make_shared<ArqJob>();
-    job->packet = std::move(packet);
-    job->cost = link.attempt(job->packet.payloadBits);
+Time
+startArqAttempt(FaultState &faults, ArqPacket &packet, Time now,
+                bool forced_loss, SensorEnergyBreakdown &sensor)
+{
+    ++faults.stats().attempts;
+    StatsRegistry::instance().add(arqStatIds().attempts);
+    // The packet's fate is drawn when the attempt is initiated (a
+    // deterministic single-threaded order), not when the
+    // possibly-backlogged channel actually serializes it — a
+    // documented simplification. Scripted losses (outage windows,
+    // dead fleet nodes) consume no stochastic draw.
+    packet.lost = forced_loss || faults.loss().dropPacket(now);
 
-    // Self-continuing attempt loop. Each attempt is its own channel
-    // grant, so the channel serves other traffic during ACK timeouts
-    // and backoff; the self-reference is cleared on the terminal
-    // paths to break the ownership cycle.
-    auto attemptOnce = std::make_shared<std::function<void()>>();
-    *attemptOnce = [&queue, &faults, job, sensor,
-                    grant = std::move(grant), note = std::move(note),
-                    done = std::move(done), attemptOnce]() {
-        ++faults.stats().attempts;
-        StatsRegistry::instance().add(arqStatIds().attempts);
-        const Time now = queue.now();
-        // The packet's fate is drawn when the attempt is initiated
-        // (a deterministic single-threaded order), not when the
-        // possibly-backlogged channel actually serializes it — a
-        // documented simplification. Scripted losses (outage
-        // windows, dead fleet nodes) consume no stochastic draw.
-        const bool forced =
-            job->packet.forceLost && job->packet.forceLost(now);
-        const bool lost = forced || faults.loss().dropPacket(now);
+    // The receiver listens for the data frame on every attempt; the
+    // ACK exchange happens only when the frame got through.
+    const AttemptCost &cost = packet.cost;
+    if (packet.senderInSensor) {
+        sensor.tx += cost.dataTx;
+        if (!packet.lost)
+            sensor.rx += cost.ackRx;
+    } else {
+        sensor.rx += cost.dataRx;
+        if (!packet.lost)
+            sensor.tx += cost.ackTx;
+    }
+    return packet.lost ? cost.dataAirTime
+                       : cost.dataAirTime + cost.ackAirTime;
+}
 
-        // The receiver listens for the data frame on every attempt;
-        // the ACK exchange happens only when the frame got through.
-        if (sensor) {
-            if (job->packet.senderInSensor) {
-                sensor->tx += job->cost.dataTx;
-                if (!lost)
-                    sensor->rx += job->cost.ackRx;
-            } else {
-                sensor->rx += job->cost.dataRx;
-                if (!lost)
-                    sensor->tx += job->cost.ackTx;
-            }
+ArqOutcome
+finishArqAttempt(FaultState &faults, ArqPacket &packet, Time *backoff)
+{
+    RobustnessReport &stats = faults.stats();
+    if (!packet.lost) {
+        const size_t retries = packet.attempt;
+        if (!packet.isProbe) {
+            ++stats.packetsDelivered;
+            if (stats.retryHistogram.size() <= retries)
+                stats.retryHistogram.resize(retries + 1, 0);
+            ++stats.retryHistogram[retries];
+            StatsRegistry &reg = StatsRegistry::instance();
+            const ArqStatIds &ids = arqStatIds();
+            reg.add(ids.delivered);
+            reg.add(ids.retries, retries);
+            reg.observe(ids.triesHist, retries + 1);
         }
-
-        const Time air =
-            lost ? job->cost.dataAirTime
-                 : job->cost.dataAirTime + job->cost.ackAirTime;
-        std::string what = job->packet.what;
-        if (job->attempt > 0)
-            what += " try " + std::to_string(job->attempt);
-        grant(air, what, [&queue, &faults, job, lost, note, done,
-                          attemptOnce]() {
-            RobustnessReport &stats = faults.stats();
-            if (!lost) {
-                const size_t retries = job->attempt;
-                if (!job->packet.isProbe) {
-                    ++stats.packetsDelivered;
-                    if (stats.retryHistogram.size() <= retries)
-                        stats.retryHistogram.resize(retries + 1, 0);
-                    ++stats.retryHistogram[retries];
-                    StatsRegistry &reg = StatsRegistry::instance();
-                    const ArqStatIds &ids = arqStatIds();
-                    reg.add(ids.delivered);
-                    reg.add(ids.retries, retries);
-                    reg.observe(ids.triesHist, retries + 1);
-                }
-                *attemptOnce = nullptr;
-                done(true, retries + 1);
-                return;
-            }
-            const ArqConfig &arq = faults.profile().arq;
-            if (job->attempt >= arq.maxRetries) {
-                if (note)
-                    note("drop " + job->packet.what);
-                if (!job->packet.isProbe) {
-                    ++stats.packetsAbandoned;
-                    StatsRegistry &reg = StatsRegistry::instance();
-                    const ArqStatIds &ids = arqStatIds();
-                    reg.add(ids.drops);
-                    reg.add(ids.retries, job->attempt);
-                    reg.observe(ids.triesHist, job->attempt + 1);
-                }
-                const size_t attempts = job->attempt + 1;
-                *attemptOnce = nullptr;
-                done(false, attempts);
-                return;
-            }
-            if (note)
-                note("retry " + job->packet.what);
-            const Time wait = arq.backoff(job->attempt);
-            ++job->attempt;
-            queue.scheduleAfter(wait,
-                               [attemptOnce]() { (*attemptOnce)(); });
-        });
-    };
-    (*attemptOnce)();
+        return ArqOutcome::Delivered;
+    }
+    const ArqConfig &arq = faults.profile().arq;
+    if (packet.attempt >= arq.maxRetries) {
+        if (!packet.isProbe) {
+            ++stats.packetsAbandoned;
+            StatsRegistry &reg = StatsRegistry::instance();
+            const ArqStatIds &ids = arqStatIds();
+            reg.add(ids.drops);
+            reg.add(ids.retries, packet.attempt);
+            reg.observe(ids.triesHist, packet.attempt + 1);
+        }
+        return ArqOutcome::Abandoned;
+    }
+    *backoff = arq.backoff(packet.attempt);
+    ++packet.attempt;
+    return ArqOutcome::Retry;
 }
 
 LocalFallback
 computeLocalFallback(const EngineTopology &topology,
                      const Placement &placement,
-                     const std::vector<std::optional<Time>>
-                         &sensor_finish_at,
+                     std::span<const std::optional<Time>>
+                         sensor_finish_at,
                      Time at)
 {
     const DataflowGraph &graph = topology.graph;

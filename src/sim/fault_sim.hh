@@ -5,12 +5,13 @@
  *
  *  - FaultState: one seeded loss process plus the run's
  *    RobustnessReport counters.
- *  - runArq(): drives one packet through bounded stop-and-wait ARQ
- *    on top of the simulator's channel grant (its arbitrated
- *    shared radio). Each attempt is a separate channel grant, so the
- *    channel is free for other traffic during ACK timeouts and
- *    backoff — which is also what keeps a dead node from stalling
- *    FCFS/TDMA arbitration.
+ *  - ArqPacket + startArqAttempt()/finishArqAttempt(): bounded
+ *    stop-and-wait ARQ as a plain-data state machine. The simulator
+ *    keeps one ArqPacket per packet in flight and drives it with
+ *    typed events: each attempt is a separate grant of its
+ *    arbitrated shared radio, so the channel is free for other
+ *    traffic during ACK timeouts and backoff — which is also what
+ *    keeps a dead node from stalling FCFS/TDMA arbitration.
  *  - computeLocalFallback(): the graceful-degradation plan. When a
  *    payload is abandoned (or the link is declared down), the
  *    sensor finishes the event locally: every cell whose output is
@@ -23,16 +24,13 @@
 #ifndef XPRO_SIM_FAULT_SIM_HH
 #define XPRO_SIM_FAULT_SIM_HH
 
-#include <functional>
 #include <optional>
-#include <string>
-#include <vector>
+#include <span>
 
 #include "core/energy_model.hh"
 #include "core/placement.hh"
 #include "core/report.hh"
 #include "core/topology.hh"
-#include "sim/event_queue.hh"
 #include "wireless/fault.hh"
 #include "wireless/link.hh"
 
@@ -61,57 +59,67 @@ class FaultState
     RobustnessReport _stats;
 };
 
-/** One packet submitted to the ARQ machine. */
+/**
+ * One packet's progress through bounded stop-and-wait ARQ. Plain
+ * data: the simulator owns the record and decides what the packet
+ * carries and where its outcome goes.
+ */
 struct ArqPacket
 {
-    /** Payload bits; the link adds the protocol header. */
-    size_t payloadBits = 0;
+    /** Per-attempt frame costs of the packet's payload. */
+    AttemptCost cost;
+    /** 0-based index of the ongoing attempt. */
+    size_t attempt = 0;
     /** Which end transmits the data frame (decides which of the
      *  sensor's tx/rx meters each attempt charges). */
     bool senderInSensor = true;
-    /** Trace tag, e.g. "svm payload #0". */
-    std::string what;
     /** Recovery probes don't count toward packetsOffered or the
      *  outage detector's abandon streak. */
     bool isProbe = false;
-    /** Optional per-packet loss override evaluated before the
-     *  shared loss process (e.g. a scripted dead fleet node). A
-     *  forced loss consumes no stochastic draw. */
-    std::function<bool(Time)> forceLost;
+    /** Fate of the ongoing attempt, drawn when it started. */
+    bool lost = false;
 };
 
 /**
- * How the simulator grants its arbitrated channel to one
- * transmission attempt: occupy the channel for @p air (labelled
- * @p what in the trace), then call @p on_done.
+ * Offer a packet of @p payload_bits (the link adds the protocol
+ * header) to bounded ARQ: counts it as offered (or as a probe) and
+ * returns its record, ready for the first attempt.
  */
-using ChannelGrant =
-    std::function<void(Time air, const std::string &what,
-                       EventQueue::Handler on_done)>;
-
-/** Fires exactly once per packet with the final outcome. */
-using ArqDone = std::function<void(bool delivered, size_t attempts)>;
+ArqPacket openArqPacket(FaultState &faults, const WirelessLink &link,
+                        size_t payload_bits, bool sender_in_sensor,
+                        bool is_probe);
 
 /**
- * Drive @p packet through bounded stop-and-wait ARQ.
+ * Start @p packet's next attempt at @p now and return the channel
+ * time it occupies (data only when lost, data + ACK when delivered).
  *
- * Per attempt: the packet's fate is drawn from @p faults (scripted
- * outages, then the Gilbert-Elliott chain), the per-attempt energies
- * are charged to @p sensor (if non-null) according to the sending
- * end — data frame every attempt, ACK frame only on success — and
- * the channel is acquired through @p grant for the attempt's air
- * time (data only when lost, data + ACK when delivered). A lost
- * attempt backs off per the profile's ArqConfig before retrying;
- * after maxRetries failed retries the packet is abandoned.
- *
- * @param note Optional trace hook for "retry ..."/"drop ..."
- *        markers (may be null).
+ * The packet's fate is drawn here: lost when @p forced_loss (a
+ * scripted outage, which consumes no draw), else from the
+ * Gilbert-Elliott chain. The attempt's energies are charged to
+ * @p sensor according to the sending end: data frame every attempt,
+ * ACK frame only on success.
  */
-void runArq(EventQueue &queue, FaultState &faults,
-            const WirelessLink &link, ArqPacket packet,
-            SensorEnergyBreakdown *sensor, ChannelGrant grant,
-            std::function<void(const std::string &)> note,
-            ArqDone done);
+Time startArqAttempt(FaultState &faults, ArqPacket &packet, Time now,
+                     bool forced_loss, SensorEnergyBreakdown &sensor);
+
+/** What an attempt's end means for its packet. */
+enum class ArqOutcome
+{
+    Delivered,
+    /** Lost; the next attempt starts after the returned backoff. */
+    Retry,
+    /** Lost after maxRetries failed retries. */
+    Abandoned,
+};
+
+/**
+ * Close @p packet's ongoing attempt once its channel time has ended
+ * and fold the outcome into the counters. On Retry the packet moves
+ * to its next attempt, which starts @p backoff later (per the
+ * profile's ArqConfig).
+ */
+ArqOutcome finishArqAttempt(FaultState &faults, ArqPacket &packet,
+                            Time *backoff);
 
 /** The local-fallback plan for one partially executed event. */
 struct LocalFallback
@@ -137,8 +145,7 @@ struct LocalFallback
  */
 LocalFallback computeLocalFallback(
     const EngineTopology &topology, const Placement &placement,
-    const std::vector<std::optional<Time>> &sensor_finish_at,
-    Time at);
+    std::span<const std::optional<Time>> sensor_finish_at, Time at);
 
 } // namespace xpro
 

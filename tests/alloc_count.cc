@@ -8,11 +8,20 @@ namespace
 {
 
 std::atomic<size_t> g_allocations{0};
+std::atomic<size_t> g_bytes{0};
+
+/** Count one allocation of @p bytes. */
+void
+count(size_t bytes)
+{
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    g_bytes.fetch_add(bytes, std::memory_order_relaxed);
+}
 
 void *
 countedAlloc(size_t bytes)
 {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    count(bytes);
     void *p = std::malloc(bytes ? bytes : 1);
     if (!p)
         throw std::bad_alloc();
@@ -22,7 +31,7 @@ countedAlloc(size_t bytes)
 void *
 countedAlignedAlloc(size_t bytes, size_t alignment)
 {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    count(bytes);
     // aligned_alloc requires the size to be a multiple of the
     // alignment.
     const size_t rounded =
@@ -43,6 +52,12 @@ size_t
 allocCount()
 {
     return g_allocations.load(std::memory_order_relaxed);
+}
+
+size_t
+allocBytes()
+{
+    return g_bytes.load(std::memory_order_relaxed);
 }
 
 } // namespace xpro::testing
@@ -66,14 +81,14 @@ operator new[](std::size_t bytes)
 void *
 operator new(std::size_t bytes, const std::nothrow_t &) noexcept
 {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    count(bytes);
     return std::malloc(bytes ? bytes : 1);
 }
 
 void *
 operator new[](std::size_t bytes, const std::nothrow_t &) noexcept
 {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    count(bytes);
     return std::malloc(bytes ? bytes : 1);
 }
 

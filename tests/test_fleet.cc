@@ -17,6 +17,7 @@
 #include "common/argparse.hh"
 #include "common/logging.hh"
 #include "fleet/fleet.hh"
+#include "obs/stats_registry.hh"
 #include "sim/system_sim.hh"
 #include "topology_fixtures.hh"
 
@@ -366,6 +367,55 @@ TEST(FleetSimTest, EventLoopAllocationsIndependentOfEventCount)
     const size_t many = measure(12);
     EXPECT_EQ(few, many)
         << "the shared event loop must not touch the heap";
+}
+
+TEST(FleetSimTest, EventLoopBytesIndependentOfEventCount)
+{
+    // Simulator state follows the events in flight, not the events
+    // offered: the queue holds each member's next injection plus the
+    // work of its in-flight events, and retired instance slots are
+    // reused. A run of 2000 events per member therefore requests
+    // exactly as many heap bytes as a run of 10.
+    const EngineTopology topology =
+        chainTopology(100.0, 200.0, 300.0);
+    const FcfsArbiter fcfs;
+    const auto measure = [&](size_t eventsPerNode) {
+        std::vector<FleetMember> members;
+        members.push_back(cutChainMember(topology, 4.0));
+        members.push_back(cutChainMember(topology, 4.0));
+        xpro::testing::AllocScope scope;
+        simulateFleet(members, link2, fcfs, eventsPerNode);
+        return scope.bytes();
+    };
+    measure(2); // warm process-wide caches
+    const size_t few = measure(10);
+    const size_t many = measure(2000);
+    EXPECT_EQ(few, many)
+        << "simulator memory must not grow with the event count";
+}
+
+TEST(FleetSimTest, QueueDepthFollowsInFlightEvents)
+{
+    if (!statsCompiledIn())
+        GTEST_SKIP() << "stats compiled out";
+    // Injections are posted one at a time per member, so the deepest
+    // the queue gets depends on how much work overlaps, never on how
+    // many events are offered.
+    const EngineTopology topology =
+        chainTopology(100.0, 200.0, 300.0);
+    const FcfsArbiter fcfs;
+    const auto depth = [&](size_t eventsPerNode) {
+        std::vector<FleetMember> members;
+        members.push_back(cutChainMember(topology, 4.0));
+        members.push_back(cutChainMember(topology, 4.0));
+        StatsRegistry::instance().reset();
+        simulateFleet(members, link2, fcfs, eventsPerNode);
+        return StatsRegistry::instance().snapshot().value(
+            "sim.queue_depth_highwater");
+    };
+    const uint64_t few = depth(10);
+    EXPECT_GT(few, 0u);
+    EXPECT_EQ(few, depth(2000));
 }
 
 TEST(FleetSimTest, AggregatorCellsSerializeOnOneCpu)

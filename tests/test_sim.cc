@@ -27,38 +27,43 @@ using xpro::test::chainTopology;
 
 const WirelessLink link2(transceiver(WirelessModel::Model2));
 
+/** Cap for EventQueue::runAll in tests that never loop. */
+constexpr size_t kQueueCap = 1000000;
+
 TEST(EventQueueTest, RunsInTimeOrder)
 {
     EventQueue queue;
-    std::vector<int> order;
-    queue.schedule(Time::millis(3.0), [&] { order.push_back(3); });
-    queue.schedule(Time::millis(1.0), [&] { order.push_back(1); });
-    queue.schedule(Time::millis(2.0), [&] { order.push_back(2); });
-    queue.runAll();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    std::vector<uint64_t> order;
+    queue.schedule(Time::millis(3.0), 0, 3);
+    queue.schedule(Time::millis(1.0), 0, 1);
+    queue.schedule(Time::millis(2.0), 0, 2);
+    queue.runAll(kQueueCap,
+                 [&](uint32_t, uint64_t data) { order.push_back(data); });
+    EXPECT_EQ(order, (std::vector<uint64_t>{1, 2, 3}));
     EXPECT_DOUBLE_EQ(queue.now().ms(), 3.0);
 }
 
 TEST(EventQueueTest, SimultaneousEventsKeepFifoOrder)
 {
     EventQueue queue;
-    std::vector<int> order;
-    for (int i = 0; i < 5; ++i)
-        queue.schedule(Time::millis(1.0),
-                       [&order, i] { order.push_back(i); });
-    queue.runAll();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+    std::vector<uint64_t> order;
+    for (uint64_t i = 0; i < 5; ++i)
+        queue.schedule(Time::millis(1.0), 0, i);
+    queue.runAll(kQueueCap,
+                 [&](uint32_t, uint64_t data) { order.push_back(data); });
+    EXPECT_EQ(order, (std::vector<uint64_t>{0, 1, 2, 3, 4}));
 }
 
 TEST(EventQueueTest, HandlersMayScheduleMoreEvents)
 {
     EventQueue queue;
     int fired = 0;
-    queue.schedule(Time::millis(1.0), [&] {
+    queue.schedule(Time::millis(1.0), 0, 0);
+    queue.runAll(kQueueCap, [&](uint32_t kind, uint64_t) {
         ++fired;
-        queue.scheduleAfter(Time::millis(1.0), [&] { ++fired; });
+        if (kind == 0)
+            queue.scheduleAfter(Time::millis(1.0), 1, 0);
     });
-    queue.runAll();
     EXPECT_EQ(fired, 2);
     EXPECT_DOUBLE_EQ(queue.now().ms(), 2.0);
 }
@@ -66,20 +71,25 @@ TEST(EventQueueTest, HandlersMayScheduleMoreEvents)
 TEST(EventQueueTest, SchedulingIntoThePastPanics)
 {
     EventQueue queue;
-    queue.schedule(Time::millis(2.0), [&] {
-        queue.schedule(Time::millis(1.0), [] {});
-    });
-    EXPECT_THROW(queue.runAll(), PanicError);
+    queue.schedule(Time::millis(2.0), 0, 0);
+    EXPECT_THROW(queue.runAll(kQueueCap,
+                              [&](uint32_t, uint64_t) {
+                                  queue.schedule(Time::millis(1.0), 0,
+                                                 0);
+                              }),
+                 PanicError);
 }
 
 TEST(EventQueueTest, RunawayLoopIsCaught)
 {
     EventQueue queue;
-    std::function<void()> respawn = [&] {
-        queue.scheduleAfter(Time::nanos(1.0), respawn);
-    };
-    queue.schedule(Time(), respawn);
-    EXPECT_THROW(queue.runAll(100), PanicError);
+    queue.schedule(Time(), 0, 0);
+    EXPECT_THROW(queue.runAll(100,
+                              [&](uint32_t, uint64_t) {
+                                  queue.scheduleAfter(Time::nanos(1.0),
+                                                      0, 0);
+                              }),
+                 PanicError);
 }
 
 TEST(SystemSimTest, EnergiesMatchAnalyticModelExactly)
