@@ -245,8 +245,9 @@ constexpr uint64_t kMaxPopulationEventsPerNode = (uint64_t{1} << 24) - 1;
 
 /** Largest members x events-per-member of one detailed simulation
  *  (simulateFleet, or a single-node fault-injected stream as one
- *  member): the simulator reserves per-(member, event) dataflow
- *  state up front, so the CLI rejects bigger runs at parse time. */
+ *  member). The simulator's state follows the events in flight, so
+ *  this bounds run time, not memory; the CLI rejects bigger runs at
+ *  parse time. */
 constexpr uint64_t kMaxDetailedOfferedEvents = uint64_t{1} << 20;
 
 /** Configuration of one population-scale run. */

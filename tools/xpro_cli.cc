@@ -250,13 +250,38 @@ constexpr size_t kMaxWorkerThreads = 256;
  *  candidate, so larger values only exhaust memory. */
 constexpr size_t kMaxCandidates = 10000;
 
+/** Cap on --max-train: far above any synthetic dataset's training
+ *  split, so larger values would cap nothing. */
+constexpr size_t kMaxTrainingSegments = size_t{1} << 20;
+
+/** Cap on --serve-events: the serving phase holds one ~28-byte
+ *  record per event, so 2^22 events stay near 100 MiB. */
+constexpr size_t kMaxServeEvents = size_t{1} << 22;
+
+/** Cap on --batch-events: a batch past every served event is the
+ *  same single batch. */
+constexpr size_t kMaxBatchEvents = kMaxServeEvents;
+
+/** Cap on --max-retries: the backoff doubles per retry by default,
+ *  so 64 retries already wait longer than any simulated run. */
+constexpr size_t kMaxArqRetries = 64;
+
+/** Count flag where 0 is meaningful (off, auto or none), capped at
+ *  @p max. */
+size_t
+parseCappedCountArg(const std::string &value, const char *what,
+                    size_t max)
+{
+    if (parseCountArg(value, what) == 0)
+        return 0;
+    return parseBoundedArg(value, what, max);
+}
+
 /** Thread count for flags where 0 means one per hardware thread. */
 size_t
 parseAutoWorkersArg(const std::string &value, const char *what)
 {
-    if (parseCountArg(value, what) == 0)
-        return 0;
-    return parseBoundedArg(value, what, kMaxWorkerThreads);
+    return parseCappedCountArg(value, what, kMaxWorkerThreads);
 }
 
 /** Non-negative duration in milliseconds. */
@@ -474,7 +499,8 @@ main(int argc, char **argv)
                 candidates = parseBoundedArg(value(), "--candidates",
                                              kMaxCandidates);
             else if (arg == "--max-train")
-                max_train = parsePositiveArg(value(), "--max-train");
+                max_train = parseBoundedArg(value(), "--max-train",
+                                            kMaxTrainingSegments);
             else if (arg == "--ml-workers")
                 ml_workers =
                     parseAutoWorkersArg(value(), "--ml-workers");
@@ -540,11 +566,11 @@ main(int argc, char **argv)
                 events = parseBoundedArg(value(), "--events",
                                          kMaxPopulationEventsPerNode);
             else if (arg == "--serve-events")
-                serve_events =
-                    parseCountArg(value(), "--serve-events");
+                serve_events = parseCappedCountArg(
+                    value(), "--serve-events", kMaxServeEvents);
             else if (arg == "--batch-events")
-                batch_events =
-                    parseCountArg(value(), "--batch-events");
+                batch_events = parseCappedCountArg(
+                    value(), "--batch-events", kMaxBatchEvents);
             else if (arg == "--serve-workers")
                 serve_workers =
                     parseAutoWorkersArg(value(), "--serve-workers");
@@ -559,8 +585,8 @@ main(int argc, char **argv)
                     bad_to_good, "--loss-burst");
                 faults.enabled = true;
             } else if (arg == "--max-retries") {
-                max_retries =
-                    parseCountArg(value(), "--max-retries");
+                max_retries = parseCappedCountArg(
+                    value(), "--max-retries", kMaxArqRetries);
                 max_retries_set = true;
             } else if (arg == "--outage") {
                 const auto [start, end] =
@@ -641,9 +667,9 @@ main(int argc, char **argv)
                   "schedule");
         if (chaos.enabled)
             chaos.validate();
-        // The detailed simulator reserves per-(member, event) state
-        // up front; a single-node fault-injected stream is one
-        // member.
+        // The detailed simulator's offered work bounds its run time
+        // (its state follows the events in flight); a single-node
+        // fault-injected stream is one member.
         const uint64_t detailed_members =
             fleet_size > 0 ? fleet_size : (faults.enabled ? 1 : 0);
         if (population_nodes == 0 &&
