@@ -1,15 +1,20 @@
 #!/bin/sh
 # Build the tree under AddressSanitizer + UndefinedBehaviorSanitizer
 # and run the fleet-label suites under it: the detailed fleet
-# simulator (arena-backed SoA member state, radio arbitration
-# lifetimes), the population path (node slabs, per-slot wheel
+# simulator (recycled instance-slot rings, ARQ job slabs, radio
+# arbitration lifetimes), the population path (node slabs, per-slot wheel
 # vectors swapped during drains, tier budget arrays), the
 # hierarchical time wheel itself (bitmap scans, far-overflow
 # refiling, schedule-during-drain), and the chaos layer (masked
 # cross-shard extract/re-file during failover, parked-inject replay
-# buffers). It also runs the population golden CLI cases, which
-# drive tier deferral, harsh chaos on four shards and population
-# ARQ end to end through the slab and shard-mask code. Usage:
+# buffers). Slot recycling makes use-after-retire the detailed
+# simulator's failure mode, so it also runs the single-node
+# simulator, robustness and fault-injection suites (test_sim,
+# test_robustness, test_fault_injection) and the detailed golden CLI
+# cases (fleet and single node, traces included). Last come the
+# population golden CLI cases, which drive tier deferral, harsh
+# chaos on four shards and population ARQ end to end through the
+# slab and shard-mask code. Usage:
 #
 #   scripts/check_asan_fleet.sh [build-dir]
 #
@@ -23,9 +28,14 @@ build=${1:-"$repo/build-asan"}
 
 cmake -B "$build" -S "$repo" -DXPRO_SANITIZE=address,undefined
 cmake --build "$build" \
-    --target test_fleet test_event_queue test_fleet_chaos xpro_cli \
+    --target test_fleet test_event_queue test_fleet_chaos test_sim \
+    test_robustness test_fault_injection xpro_cli \
     -j "$(nproc)"
 ctest --test-dir "$build" -L 'fleet|chaos' --output-on-failure
-ctest --test-dir "$build" -R 'cli\.golden\.population' \
+for suite in test_sim test_robustness test_fault_injection; do
+    "$build/tests/$suite" --gtest_brief=1
+done
+ctest --test-dir "$build" \
+    -R 'cli\.golden\.(fleet|single_node|population)' \
     --output-on-failure
 echo "ASan/UBSan fleet pass: OK"
