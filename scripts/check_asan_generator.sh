@@ -9,7 +9,9 @@
 # and the serving hot-path suites (arena lifetimes, packed SV tiles,
 # cross-user batch slicing, both builds of the SIMD kernel tests),
 # and the stats-registry suite (fixed
-# cell array bounds, slab growth). Usage:
+# cell array bounds, slab growth), and the fleet design suites
+# (the RNG's gaussian skips, masked dataset synthesis, SMO's pair
+# step kernel, split-only feature extraction). Usage:
 #
 #   scripts/check_asan_generator.sh [build-dir]
 #
@@ -28,9 +30,10 @@ cmake --build "$build" \
              test_fault_injection test_trace_export \
              test_controller test_hotpath_identity \
              test_simd_kernels test_simd_kernels_baseline \
-             test_stats_registry \
+             test_stats_registry test_data_synth test_random \
+             test_svm test_pipeline \
     -j "$(nproc)"
 ctest --test-dir "$build" \
-    -L 'generator|partitioner|flow|ml|robust|control|hotpath|obs' \
+    -L 'generator|partitioner|flow|ml|robust|control|hotpath|obs|design' \
     --output-on-failure
 echo "ASan/UBSan generator pass: OK"

@@ -106,6 +106,23 @@ Rng::gaussian()
     return radius * std::cos(angle);
 }
 
+void
+Rng::skipGaussians(size_t k)
+{
+    if (k > 0 && _hasCachedGaussian) {
+        _hasCachedGaussian = false;
+        --k;
+    }
+    for (; k >= 2; k -= 2) {
+        // gaussian()'s draws for one pair: u1 > 0, then u2.
+        while (uniform() <= 0.0) {
+        }
+        next();
+    }
+    if (k == 1)
+        gaussian();
+}
+
 double
 Rng::gaussian(double mean, double stddev)
 {

@@ -44,6 +44,14 @@ class Rng
     /** Standard normal variate (Box-Muller, cached pair). */
     double gaussian();
 
+    /**
+     * Advance the stream exactly as @p k gaussian() calls would,
+     * cached half included. Whole pairs draw their two uniforms
+     * without the Box-Muller transform; an odd last call runs it,
+     * because its second half stays cached.
+     */
+    void skipGaussians(size_t k);
+
     /** Normal variate with the given mean and standard deviation. */
     double gaussian(double mean, double stddev);
 

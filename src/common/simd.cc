@@ -56,6 +56,14 @@ axpy(double *dst, const double *src, double c, size_t n)
 }
 
 void
+pairUpdate(double *error, const double *rowI, const double *rowJ,
+           double di, double dj, double db, size_t n)
+{
+    for (size_t k = 0; k < n; ++k)
+        error[k] += di * rowI[k] + dj * rowJ[k] + db;
+}
+
+void
 zscore(double *dst, const double *src, double mu, double sigma,
        size_t n)
 {
@@ -181,6 +189,20 @@ simdAxpy(double *dst, const double *src, double c, size_t n)
             c * *reinterpret_cast<const V *>(src + i);
     for (; i < n; ++i)
         dst[i] += c * src[i];
+}
+
+XPRO_SIMD_CLONES void
+simdPairUpdate(double *error, const double *rowI, const double *rowJ,
+               double di, double dj, double db, size_t n)
+{
+    size_t k = 0;
+    for (; k + vecWidth <= n; k += vecWidth) {
+        *reinterpret_cast<V *>(error + k) +=
+            di * *reinterpret_cast<const V *>(rowI + k) +
+            dj * *reinterpret_cast<const V *>(rowJ + k) + db;
+    }
+    for (; k < n; ++k)
+        error[k] += di * rowI[k] + dj * rowJ[k] + db;
 }
 
 XPRO_SIMD_CLONES void

@@ -1,6 +1,6 @@
 /**
  * @file
- * Portable SIMD kernels for the serving hot path.
+ * Portable SIMD kernels for the serving hot path and SVM training.
  *
  * Every kernel here is **order-preserving**: vectorization runs
  * across independent output elements while each output's reduction
@@ -49,6 +49,16 @@ void simdScale(double *dst, const double *src, double c, size_t n);
 
 /** dst[i] += c * src[i] for i in [0, n). */
 void simdAxpy(double *dst, const double *src, double c, size_t n);
+
+/**
+ * SMO pair step's error update:
+ * error[k] += di * rowI[k] + dj * rowJ[k] + db for k in [0, n),
+ * associated exactly as written ((di*rowI + dj*rowJ) + db, then
+ * added to error[k]), so every lane matches the scalar expression.
+ */
+void simdPairUpdate(double *error, const double *rowI,
+                    const double *rowJ, double di, double dj, double db,
+                    size_t n);
 
 /**
  * Packed multi-dot micro-kernel:
@@ -153,6 +163,8 @@ double dot(const double *a, const double *b, size_t n);
 double squaredNorm(const double *a, size_t n);
 void scale(double *dst, const double *src, double c, size_t n);
 void axpy(double *dst, const double *src, double c, size_t n);
+void pairUpdate(double *error, const double *rowI, const double *rowJ,
+                double di, double dj, double db, size_t n);
 void zscore(double *dst, const double *src, double mu, double sigma,
             size_t n);
 void maxMinSumPacked(const double *packed, size_t n, double *maxOut,

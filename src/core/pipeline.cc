@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "ml/crossval.hh"
 
 namespace xpro
 {
@@ -15,6 +14,32 @@ TrainedPipeline::classify(const std::vector<double> &segment) const
     return ensemble.predict(scaler.transform(raw));
 }
 
+Split
+trainingSplit(const std::vector<int> &labels,
+              const TrainingOptions &options)
+{
+    // Split 75/25 (paper Section 4.4), stratified.
+    Rng rng(options.seed);
+    Split split = stratifiedSplit(labels, options.trainFraction, rng);
+    if (options.maxTrainingSegments > 0 &&
+        split.trainIndices.size() > options.maxTrainingSegments) {
+        split.trainIndices.resize(options.maxTrainingSegments);
+    }
+    return split;
+}
+
+std::vector<bool>
+splitMask(const Split &split, size_t count)
+{
+    std::vector<bool> keep(count);
+    for (const std::vector<size_t> *side :
+         {&split.trainIndices, &split.testIndices}) {
+        for (size_t idx : *side)
+            keep[idx] = true;
+    }
+    return keep;
+}
+
 TrainedPipeline
 trainPipeline(const SignalDataset &dataset, const EngineConfig &config,
               const TrainingOptions &options)
@@ -24,40 +49,31 @@ trainPipeline(const SignalDataset &dataset, const EngineConfig &config,
     TrainedPipeline pipeline;
     pipeline.extractor = FeatureExtractor(config.wavelet);
 
-    // Extract the full 48-feature pool for every segment into one
-    // flat row-major matrix.
-    FlatMatrix raw_rows;
     std::vector<int> labels;
-    raw_rows.reserve(dataset.size());
     labels.reserve(dataset.size());
-    for (const Segment &segment : dataset.segments) {
-        raw_rows.push_back(
-            pipeline.extractor.extractAll(segment.samples));
+    for (const Segment &segment : dataset.segments)
         labels.push_back(segment.label);
-    }
+    const Split split = trainingSplit(labels, options);
 
-    // Split 75/25 (paper Section 4.4), stratified.
-    Rng rng(options.seed);
-    const Split split =
-        stratifiedSplit(labels, options.trainFraction, rng);
-    std::vector<size_t> train_idx = split.trainIndices;
-    if (options.maxTrainingSegments > 0 &&
-        train_idx.size() > options.maxTrainingSegments) {
-        train_idx.resize(options.maxTrainingSegments);
-    }
-
+    // The full 48-feature pool of each segment the split names, one
+    // flat row-major matrix per side.
     const auto gather = [&](const std::vector<size_t> &indices) {
         LabeledData out;
-        out.rows = FlatMatrix(0, raw_rows.cols());
+        out.rows = FlatMatrix(0, featurePoolSize);
         out.rows.reserve(indices.size());
         out.labels.reserve(indices.size());
         for (size_t idx : indices) {
-            out.rows.push_back(raw_rows.row(idx));
+            const Segment &segment = dataset.segments[idx];
+            xproAssert(!segment.samples.empty(),
+                       "segment %zu is read for training but was not "
+                       "synthesized", idx);
+            out.rows.push_back(
+                pipeline.extractor.extractAll(segment.samples));
             out.labels.push_back(labels[idx]);
         }
         return out;
     };
-    LabeledData train = gather(train_idx);
+    LabeledData train = gather(split.trainIndices);
     LabeledData test = gather(split.testIndices);
 
     // Min-max normalization fitted on the training rows only.

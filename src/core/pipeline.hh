@@ -15,6 +15,7 @@
 #include "core/topology.hh"
 #include "data/biosignal.hh"
 #include "dsp/feature_pool.hh"
+#include "ml/crossval.hh"
 #include "ml/random_subspace.hh"
 
 namespace xpro
@@ -60,7 +61,25 @@ struct TrainedPipeline
     int classify(const std::vector<double> &segment) const;
 };
 
-/** Train the generic classification pipeline on a dataset. */
+/**
+ * The segments trainPipeline() reads for a dataset labeled @p labels:
+ * the stratified train/test split drawn from @p options.seed, with
+ * the training side cut to @p options.maxTrainingSegments. A pure
+ * function of the labels and options, so a caller can synthesize
+ * only these segments before training.
+ */
+Split trainingSplit(const std::vector<int> &labels,
+                    const TrainingOptions &options);
+
+/** Keep mask over @p count segments (makeTestCase's @p keep) that
+ *  marks both sides of @p split. */
+std::vector<bool> splitMask(const Split &split, size_t count);
+
+/**
+ * Train the generic classification pipeline on a dataset. Only the
+ * segments trainingSplit() names are read; each of them must carry
+ * samples, the others may be skipped (empty).
+ */
 TrainedPipeline trainPipeline(const SignalDataset &dataset,
                               const EngineConfig &config,
                               const TrainingOptions &options = {});

@@ -25,7 +25,7 @@ struct WaveComponent
 std::vector<double>
 synthesizeEcgSegment(size_t length, double sample_rate_hz,
                      bool abnormal, const EcgSynthConfig &config,
-                     Rng &rng)
+                     Rng &rng, bool materialize)
 {
     // Canonical PQRST morphology (amplitudes in mV, times in s).
     WaveComponent waves[] = {
@@ -63,8 +63,11 @@ synthesizeEcgSegment(size_t length, double sample_rate_hz,
         rng.uniform(0.0, 2.0 * std::numbers::pi);
     const double wander_freq = rng.uniform(0.15, 0.45);
 
-    std::vector<double> segment(length);
-    for (size_t i = 0; i < length; ++i) {
+    // A skipped segment draws its per-sample noise in one skip.
+    std::vector<double> segment(materialize ? length : 0);
+    if (!materialize)
+        rng.skipGaussians(length);
+    for (size_t i = 0; i < segment.size(); ++i) {
         const double t = static_cast<double>(i) / sample_rate_hz;
         double value = 0.0;
         for (const WaveComponent &wave : waves) {

@@ -45,12 +45,16 @@ struct EcgSynthConfig
  * @param abnormal True for the abnormal (label -1) morphology.
  * @param config Generator tuning.
  * @param rng Randomness source (beat phase, noise, jitter).
+ * @param materialize False skips the rendering: @p rng advances
+ *        exactly as for a rendered segment (one draw sequence) and
+ *        the result is empty.
  */
 std::vector<double> synthesizeEcgSegment(size_t length,
                                          double sample_rate_hz,
                                          bool abnormal,
                                          const EcgSynthConfig &config,
-                                         Rng &rng);
+                                         Rng &rng,
+                                         bool materialize = true);
 
 } // namespace xpro
 

@@ -22,7 +22,7 @@ struct Band
 std::vector<double>
 synthesizeEegSegment(size_t length, double sample_rate_hz,
                      bool positive, const EegSynthConfig &config,
-                     Rng &rng)
+                     Rng &rng, bool materialize)
 {
     const Band bands[] = {
         {1.0, 4.0, 0.8},   // delta
@@ -53,8 +53,12 @@ synthesizeEegSegment(size_t length, double sample_rate_hz,
         }
     }
 
-    std::vector<double> segment(length, 0.0);
-    for (size_t i = 0; i < length; ++i) {
+    // A skipped segment draws its per-sample noise in one skip and
+    // renders no sines or spikes.
+    std::vector<double> segment(materialize ? length : 0, 0.0);
+    if (!materialize)
+        rng.skipGaussians(length);
+    for (size_t i = 0; i < segment.size(); ++i) {
         const double t = static_cast<double>(i) / sample_rate_hz;
         double value = 0.0;
         for (const Component &c : components)
@@ -73,7 +77,7 @@ synthesizeEegSegment(size_t length, double sample_rate_hz,
         for (size_t s = 0; s < config.spikesPerPositive; ++s) {
             const double center = duration * rng.uniform(0.15, 0.85);
             const double polarity = rng.chance(0.5) ? 1.0 : -1.0;
-            for (size_t i = 0; i < length; ++i) {
+            for (size_t i = 0; i < segment.size(); ++i) {
                 const double t =
                     static_cast<double>(i) / sample_rate_hz;
                 const double z =

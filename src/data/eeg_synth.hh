@@ -43,12 +43,16 @@ struct EegSynthConfig
  * @param positive True for the spike-bearing (label +1) class.
  * @param config Generator tuning.
  * @param rng Randomness source.
+ * @param materialize False skips the rendering: @p rng advances
+ *        exactly as for a rendered segment (one draw sequence) and
+ *        the result is empty.
  */
 std::vector<double> synthesizeEegSegment(size_t length,
                                          double sample_rate_hz,
                                          bool positive,
                                          const EegSynthConfig &config,
-                                         Rng &rng);
+                                         Rng &rng,
+                                         bool materialize = true);
 
 } // namespace xpro
 

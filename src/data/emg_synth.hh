@@ -45,12 +45,16 @@ struct EmgSynthConfig
  * @param positive True for the label +1 movement class.
  * @param config Generator tuning.
  * @param rng Randomness source.
+ * @param materialize False skips the rendering: @p rng advances
+ *        exactly as for a rendered segment (one draw sequence) and
+ *        the result is empty.
  */
 std::vector<double> synthesizeEmgSegment(size_t length,
                                          double sample_rate_hz,
                                          bool positive,
                                          const EmgSynthConfig &config,
-                                         Rng &rng);
+                                         Rng &rng,
+                                         bool materialize = true);
 
 } // namespace xpro
 

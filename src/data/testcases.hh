@@ -20,6 +20,8 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #include "data/biosignal.hh"
 
@@ -60,13 +62,26 @@ struct TestCaseInfo
 const TestCaseInfo &testCaseInfo(TestCase id);
 
 /**
+ * Per-segment labels of @p id's dataset: +1 and -1 alternate, so
+ * the classes are even. A pure function of the case, independent of
+ * the seed; makeTestCase() labels its segments with it.
+ */
+std::vector<int> testCaseLabels(TestCase id);
+
+/**
  * Materialize a test case with the synthetic generators.
  *
  * @param id Which case.
  * @param seed Generator seed; equal seeds give identical datasets.
+ * @param keep Per-segment keep mask, one entry per segment; empty
+ *        keeps every segment. A skipped segment keeps its label and
+ *        has no samples. The generators draw the same variates for
+ *        it, so every kept segment is bit-identical to the same
+ *        segment of the full dataset.
  * @return Dataset with Table-1 shape and roughly even class split.
  */
-SignalDataset makeTestCase(TestCase id, uint64_t seed = 2017);
+SignalDataset makeTestCase(TestCase id, uint64_t seed = 2017,
+                           const std::vector<bool> &keep = {});
 
 } // namespace xpro
 

@@ -44,9 +44,6 @@ designFleet(const std::vector<FleetNodeSpec> &specs,
     channel.bitErrorRate = bit_error_rate;
     return pool.map<XProDesign>(specs.size(), [&](size_t i) {
         const FleetNodeSpec &spec = specs[i];
-        const SignalDataset dataset =
-            makeTestCase(spec.testCase, spec.seed);
-
         EngineConfig config;
         config.process = spec.process;
         config.wireless = wireless;
@@ -55,6 +52,14 @@ designFleet(const std::vector<FleetNodeSpec> &specs,
         TrainingOptions options;
         options.maxTrainingSegments = spec.maxTrainingSegments;
         options.seed = spec.seed;
+
+        // Synthesize only the segments training reads; the rest keep
+        // their labels and draw their variates, so the kept ones are
+        // the full dataset's bit for bit.
+        const std::vector<int> labels = testCaseLabels(spec.testCase);
+        const SignalDataset dataset = makeTestCase(
+            spec.testCase, spec.seed,
+            splitMask(trainingSplit(labels, options), labels.size()));
 
         XProDesign design;
         design.config = config;

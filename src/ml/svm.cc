@@ -5,9 +5,35 @@
 
 #include "common/logging.hh"
 #include "common/random.hh"
+#include "common/simd.hh"
+#include "obs/stats_registry.hh"
 
 namespace xpro
 {
+
+namespace
+{
+
+// Stable scope: training is a pure function of its data and config,
+// whichever thread runs it.
+struct SvmStatIds
+{
+    StatId trained, sweeps, pairSteps;
+};
+
+const SvmStatIds &
+svmStatIds()
+{
+    static const SvmStatIds ids = [] {
+        StatsRegistry &reg = StatsRegistry::instance();
+        return SvmStatIds{reg.registerCounter("ml.svm_trained"),
+                          reg.registerCounter("ml.smo_sweeps"),
+                          reg.registerCounter("ml.smo_pair_steps")};
+    }();
+    return ids;
+}
+
+} // namespace
 
 Svm
 Svm::train(const LabeledData &data, const SvmConfig &config)
@@ -46,6 +72,7 @@ Svm::train(const LabeledData &data, const SvmConfig &config)
 
     size_t quiet_passes = 0;
     size_t iterations = 0;
+    size_t pair_steps = 0;
     while (quiet_passes < config.maxPassesWithoutChange &&
            iterations < config.maxIterations) {
         ++iterations;
@@ -127,17 +154,21 @@ Svm::train(const LabeledData &data, const SvmConfig &config)
             const double delta_j =
                 (alpha_j_new - alpha_j_old) * data.labels[j];
             const double delta_b = bias_new - bias;
-            const double *row_i = gram.rowData(i);
-            const double *row_j = gram.rowData(j);
-            for (size_t k = 0; k < n; ++k) {
-                error[k] += delta_i * row_i[k] + delta_j * row_j[k] +
-                            delta_b;
-            }
+            simdPairUpdate(error.data(), gram.rowData(i),
+                           gram.rowData(j), delta_i, delta_j, delta_b,
+                           n);
             bias = bias_new;
             ++changed;
         }
+        pair_steps += changed;
         quiet_passes = changed == 0 ? quiet_passes + 1 : 0;
     }
+
+    const SvmStatIds &ids = svmStatIds();
+    StatsRegistry &reg = StatsRegistry::instance();
+    reg.add(ids.trained);
+    reg.add(ids.sweeps, iterations);
+    reg.add(ids.pairSteps, pair_steps);
 
     Svm model;
     model._kernel = config.kernel;

@@ -6,9 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/random.hh"
+#include "core/pipeline.hh"
 #include "data/ecg_synth.hh"
 #include "data/eeg_synth.hh"
 #include "data/emg_synth.hh"
@@ -162,6 +168,96 @@ TEST(TestCasesTest, EventRatesArePlausible)
         // Segments last a fraction of a second up to a second.
         EXPECT_GT(rate, 1.0);
         EXPECT_LT(rate, 20.0);
+    }
+}
+
+bool
+sameBits(const std::vector<double> &a, const std::vector<double> &b)
+{
+    if (a.size() != b.size())
+        return false;
+    for (size_t i = 0; i < a.size(); ++i) {
+        if (std::bit_cast<uint64_t>(a[i]) != std::bit_cast<uint64_t>(b[i]))
+            return false;
+    }
+    return true;
+}
+
+TEST(TestCasesTest, LabelRuleMatchesMaterializedLabels)
+{
+    for (TestCase id : allTestCases) {
+        const SignalDataset dataset = makeTestCase(id, 11);
+        const std::vector<int> labels = testCaseLabels(id);
+        ASSERT_EQ(labels.size(), dataset.size());
+        for (size_t i = 0; i < labels.size(); ++i)
+            EXPECT_EQ(dataset.segments[i].label, labels[i]) << i;
+    }
+}
+
+TEST(TestCasesTest, SkippedSegmentsKeepTheRngOnOneDrawSequence)
+{
+    // Each generator, both classes: a skipped segment leaves the
+    // stream exactly where a rendered one does.
+    for (bool cls : {false, true}) {
+        Rng rendered(31), skipped(31);
+        for (int i = 0; i < 3; ++i) {
+            synthesizeEcgSegment(82, 360.0, cls, {}, rendered);
+            EXPECT_TRUE(
+                synthesizeEcgSegment(82, 360.0, cls, {}, skipped, false)
+                    .empty());
+            synthesizeEegSegment(128, 512.0, cls, {}, rendered);
+            EXPECT_TRUE(synthesizeEegSegment(128, 512.0, cls, {},
+                                             skipped, false)
+                            .empty());
+            synthesizeEmgSegment(132, 1000.0, cls, {}, rendered);
+            EXPECT_TRUE(synthesizeEmgSegment(132, 1000.0, cls, {},
+                                             skipped, false)
+                            .empty());
+        }
+        EXPECT_EQ(skipped.next(), rendered.next()) << cls;
+    }
+}
+
+TEST(TestCasesTest, MaskedDatasetsEqualFullOnKeptSegments)
+{
+    // Three masks per case and seed: the fleet's training split (the
+    // FleetNodeSpec defaults), every other segment, and the last
+    // segment alone (every earlier one skipped).
+    for (TestCase id : allTestCases) {
+        const size_t count = testCaseInfo(id).segmentCount;
+        for (uint64_t seed : {1u, 2u, 2017u}) {
+            const SignalDataset full = makeTestCase(id, seed);
+
+            TrainingOptions options;
+            options.maxTrainingSegments = 250;
+            options.seed = seed;
+            const std::vector<bool> fleet = splitMask(
+                trainingSplit(testCaseLabels(id), options), count);
+            std::vector<bool> alternate(count), last(count);
+            for (size_t i = 0; i < count; i += 2)
+                alternate[i] = true;
+            last[count - 1] = true;
+
+            for (const auto &[name, keep] :
+                 {std::pair{"fleet", fleet},
+                  std::pair{"alternate", alternate},
+                  std::pair{"last", last}}) {
+                const SignalDataset masked = makeTestCase(id, seed, keep);
+                ASSERT_EQ(masked.size(), count);
+                for (size_t i = 0; i < count; ++i) {
+                    const Segment &segment = masked.segments[i];
+                    EXPECT_EQ(segment.label, full.segments[i].label);
+                    if (keep[i]) {
+                        EXPECT_TRUE(sameBits(segment.samples,
+                                             full.segments[i].samples))
+                            << testCaseInfo(id).symbol << " seed "
+                            << seed << " " << name << " segment " << i;
+                    } else {
+                        EXPECT_TRUE(segment.samples.empty());
+                    }
+                }
+            }
+        }
     }
 }
 

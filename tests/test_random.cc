@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <set>
 
 #include "common/logging.hh"
@@ -116,6 +118,34 @@ TEST(RandomTest, GaussianScaled)
     for (int i = 0; i < n; ++i)
         sum += rng.gaussian(10.0, 2.0);
     EXPECT_NEAR(sum / n, 10.0, 0.1);
+}
+
+TEST(RandomTest, SkipGaussiansLeavesTheStreamOfKGaussianCalls)
+{
+    // From an uncached state (fresh) and a cached one (one gaussian
+    // drawn), skipping k must leave the same generator as k draws:
+    // the same following gaussians, cached half included, and the
+    // same raw words after them.
+    for (size_t warmup : {0u, 1u, 2u, 3u}) {
+        for (size_t k = 0; k <= 5; ++k) {
+            Rng drawn(77 + warmup);
+            Rng skipped(77 + warmup);
+            for (size_t w = 0; w < warmup; ++w) {
+                drawn.gaussian();
+                skipped.gaussian();
+            }
+            for (size_t i = 0; i < k; ++i)
+                drawn.gaussian();
+            skipped.skipGaussians(k);
+            for (int i = 0; i < 3; ++i) {
+                EXPECT_EQ(std::bit_cast<uint64_t>(skipped.gaussian()),
+                          std::bit_cast<uint64_t>(drawn.gaussian()))
+                    << "warmup=" << warmup << " k=" << k;
+            }
+            EXPECT_EQ(skipped.next(), drawn.next())
+                << "warmup=" << warmup << " k=" << k;
+        }
+    }
 }
 
 TEST(RandomTest, ChanceExtremes)

@@ -83,6 +83,32 @@ TEST(SimdKernelTest, AxpyMatchesScalarReferenceExactly)
     }
 }
 
+TEST(SimdKernelTest, PairUpdateMatchesScalarReferenceExactly)
+{
+    Rng rng(40603);
+    for (size_t n : {0u, 1u, 3u, 4u, 5u, 7u, 8u, 9u, 200u}) {
+        const std::vector<double> row_i = randomVector(rng, n);
+        const std::vector<double> row_j = randomVector(rng, n);
+        const std::vector<double> base = randomVector(rng, n);
+        const double di = rng.uniform(-3.0, 3.0);
+        const double dj = rng.uniform(-3.0, 3.0);
+        const double db = rng.uniform(-0.1, 0.1);
+        std::vector<double> simd = base, scalar = base;
+        simdPairUpdate(simd.data(), row_i.data(), row_j.data(), di, dj,
+                       db, n);
+        scalar_ref::pairUpdate(scalar.data(), row_i.data(),
+                               row_j.data(), di, dj, db, n);
+        expectSameBits(simd.data(), scalar.data(), n,
+                       "n=" + std::to_string(n));
+        // The association SMO's error update has always used.
+        std::vector<double> inline_loop = base;
+        for (size_t k = 0; k < n; ++k)
+            inline_loop[k] += di * row_i[k] + dj * row_j[k] + db;
+        expectSameBits(scalar.data(), inline_loop.data(), n,
+                       "ref n=" + std::to_string(n));
+    }
+}
+
 TEST(SimdKernelTest, DotPackedMatchesPerColumnScalarDots)
 {
     Rng rng(40603);

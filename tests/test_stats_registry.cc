@@ -361,6 +361,64 @@ TEST(StatsDeterminismTest, PopulationStatNamesAndIdentitiesArePinned)
     reg.reset();
 }
 
+TEST(StatsDeterminismTest, DesignStatNamesArePinnedAndWorkerInvariant)
+{
+    // The ml.* and data.* contract: exactly these stable names, one
+    // fold per Svm::train or makeTestCase call, so the totals are
+    // the same whichever design worker ran which node.
+    if (!statsCompiledIn())
+        GTEST_SKIP() << "stats compiled out";
+    StatsRegistry &reg = StatsRegistry::instance();
+    FleetConfig config;
+    config.nodes = heterogeneousFleet(3, 5);
+    size_t segments = 0;
+    for (FleetNodeSpec &spec : config.nodes) {
+        spec.subspaceCandidates = 6;
+        spec.maxTrainingSegments = 60;
+        segments += testCaseInfo(spec.testCase).segmentCount;
+    }
+    config.eventsPerNode = 2;
+
+    const auto runAt = [&](size_t workers) {
+        reg.reset();
+        config.workers = workers;
+        runFleet(config);
+        std::vector<std::pair<std::string, uint64_t>> stats;
+        for (const SnapshotEntry &e : reg.snapshot().entries) {
+            if (e.scope == StatScope::Stable &&
+                (e.name.rfind("ml.", 0) == 0 ||
+                 e.name.rfind("data.", 0) == 0))
+                stats.emplace_back(e.name, e.value);
+        }
+        return stats;
+    };
+    const auto one = runAt(1);
+    const auto four = runAt(4);
+    reg.reset();
+
+    std::vector<std::string> names;
+    for (const auto &[name, value] : one)
+        names.push_back(name);
+    const std::vector<std::string> expected = {
+        "data.segments_skipped",
+        "data.segments_synthesized",
+        "ml.smo_pair_steps",
+        "ml.smo_sweeps",
+        "ml.svm_trained",
+    };
+    ASSERT_EQ(names, expected);
+    EXPECT_EQ(four, one);
+
+    const auto value = [&](size_t i) { return one[i].second; };
+    // Each node synthesizes only its split, and trains every
+    // candidate once.
+    EXPECT_GT(value(0), 0u);
+    EXPECT_EQ(value(0) + value(1), segments);
+    EXPECT_EQ(value(4), 3u * 6u);
+    EXPECT_GE(value(3), value(4));
+    EXPECT_GT(value(2), 0u);
+}
+
 TEST(StatsDeterminismTest, CollectStatsOffLeavesPopulationStatsZero)
 {
     if (!statsCompiledIn())

@@ -99,7 +99,7 @@ usage(const char *argv0)
         "  --seed <s>                 dataset/training RNG seed "
         "(default 2017)\n"
         "  --fleet <n>                simulate an n-node fleet on "
-        "one aggregator\n"
+        "one aggregator (at most 1638 nodes)\n"
         "  --workers <n>              fleet design worker threads "
         "(default 1)\n"
         "  --sweep-workers <n>        generator sweep threads per "
@@ -667,6 +667,18 @@ main(int argc, char **argv)
                   "schedule");
         if (chaos.enabled)
             chaos.validate();
+        // Every fleet node trains its subspace candidates first;
+        // that design work bounds a big fleet's run time.
+        const uint64_t design_candidates =
+            static_cast<uint64_t>(fleet_size) *
+            FleetNodeSpec{}.subspaceCandidates;
+        if (design_candidates > kMaxFleetDesignCandidates) {
+            fatal("--fleet: %zu node(s) x %zu subspace candidates "
+                  "exceeds the design bound of %llu",
+                  fleet_size, FleetNodeSpec{}.subspaceCandidates,
+                  static_cast<unsigned long long>(
+                      kMaxFleetDesignCandidates));
+        }
         // The detailed simulator's offered work bounds its run time
         // (its state follows the events in flight); a single-node
         // fault-injected stream is one member.
