@@ -11,15 +11,20 @@
  * timed on thread CPU time, so the ratio does not depend on the
  * host's core count or load. The all-workers rate is printed for
  * information only. The JSON summary reports the shared
- * "events_per_sec" / "peak_rss_mb" keys for the gated 1-worker path.
+ * "events_per_sec" / "peak_rss_mb" keys for the gated 1-worker path,
+ * and, ungated, "lane_fill": the share of SIMD lanes the gated pass's
+ * lane-packed feature extractions filled (from the serve.lane_*
+ * stats; omitted when stats are compiled out).
  */
 
 #include <cstdio>
 #include <vector>
 
 #include "bench_common.hh"
+#include "common/simd.hh"
 #include "dsp/dwt.hh"
 #include "dsp/feature_pool.hh"
+#include "obs/stats_registry.hh"
 #include "serve/batch_server.hh"
 #include "serve/hot_path.hh"
 
@@ -162,12 +167,26 @@ main()
     std::vector<int> batched(eventsTotal);
     server.serveInto(pop.events.data(), eventsTotal,
                      batched.data()); // warmup: grow scratch arenas
+    const StatsSnapshot stats_before =
+        StatsRegistry::instance().snapshot();
     ThreadCpuTimer batched_timer;
     server.serveInto(pop.events.data(), eventsTotal,
                      batched.data());
     const double batched_s = batched_timer.seconds();
     const double batched_rate = double(eventsTotal) / batched_s;
     const double speedup = batched_rate / per_event_rate;
+    const StatsSnapshot stats_after =
+        StatsRegistry::instance().snapshot();
+    const double lane_groups = double(
+        stats_after.value("serve.lane_groups") -
+        stats_before.value("serve.lane_groups"));
+    const double lane_idle = double(
+        stats_after.value("serve.lane_slots_idle") -
+        stats_before.value("serve.lane_slots_idle"));
+    const double lane_fill =
+        lane_groups > 0.0
+            ? 1.0 - lane_idle / (lane_groups * double(simdPackWidth))
+            : 0.0;
 
     // Information only: the same batches over every hardware thread,
     // on wall time.
@@ -185,6 +204,10 @@ main()
                 "time)\n",
                 batched_rate);
     std::printf("speedup        : %10.2fx\n", speedup);
+    if (statsCompiledIn())
+        std::printf("lane fill      : %10.3f  (feature packs, 1 "
+                    "worker; not gated)\n",
+                    lane_fill);
     std::printf("all workers    : %10.0f events/s  (%zu workers, "
                 "wall time; not gated)\n\n",
                 wide_rate, wide.workerCount());
@@ -215,6 +238,8 @@ main()
 
     checker.metric("per_event_events_per_sec", per_event_rate);
     checker.metric("speedup", speedup);
+    if (statsCompiledIn())
+        checker.metric("lane_fill", lane_fill);
     checker.metric("all_workers_events_per_sec", wide_rate);
     checker.throughput(eventsTotal, batched_s);
     return checker.finish("bench_serving_hotpath");

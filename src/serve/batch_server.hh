@@ -13,10 +13,15 @@
  * worker count to classifying each event alone (PR 3's
  * batch-vs-per-sample discipline, enforced by the `hotpath` tests).
  *
- * Within a worker's slice events are processed grouped by user, so
- * one user's packed support-vector tiles stay cache-hot across that
- * user's events in the batch; grouping only reorders computation
- * between independent events, never arithmetic inside one.
+ * A worker serves its slice in two passes. Features do not depend on
+ * the user's model, only on the wavelet and the segment length, so
+ * the feature pass packs up to simdPackWidth events of equal
+ * (wavelet, length) into one lane-packed extraction, whoever raised
+ * them. The decision pass then buckets the slice by user and runs
+ * each user's events back to back, so that user's packed
+ * support-vector tiles stay cache-hot. Both passes only reorder
+ * computation between independent events, never arithmetic inside
+ * one.
  *
  * With workers == 1 the steady-state serve loop performs zero heap
  * allocations (counting-allocator test); multi-worker runs allocate
@@ -31,8 +36,10 @@
 #include <vector>
 
 #include "common/arena.hh"
+#include "common/simd.hh"
 #include "common/worker_pool.hh"
 #include "dsp/dwt.hh"
+#include "dsp/feature_pool.hh"
 #include "obs/stats_registry.hh"
 #include "serve/hot_path.hh"
 
@@ -78,27 +85,54 @@ class BatchServer
     size_t workerCount() const { return _pool.workerCount(); }
 
   private:
-    void serveBatch(const ServingEvent *events, size_t count,
-                    int *out);
-    void workerServe(size_t worker, const ServingEvent *events,
-                     size_t count, int *out);
+    /** Up to simdPackWidth slice events that share a wavelet and a
+     * segment length. */
+    struct LanePack
+    {
+        const FeatureExtractor *extractor = nullptr;
+        size_t length = 0;
+        size_t count = 0;
+        size_t events[simdPackWidth] = {};
+    };
 
-    std::vector<const HotPathPipeline *> _users;
-    size_t _batchEvents;
-    WorkerPool _pool;
-
+    /** Per-worker scratch. Every buffer is grow-only, so the
+     * steady-state loop stays allocation-free. */
     struct WorkerScratch
     {
         Arena arena;
         DwtScratch dwt;
-        /** Per-user event indices of the current slice (grow-only,
-         * so the steady-state loop stays allocation-free). */
-        std::vector<size_t> indices;
+        /** Lane packs still filling in the feature pass, at most
+         * one per (wavelet, length). */
+        std::vector<LanePack> packs;
+        /** Raw feature row of each slice event, featurePoolSize
+         * doubles apiece. */
+        std::vector<double> features;
+        /** Slice events bucketed by user (counting sort): after the
+         * fill, userEnd[u] is where user u's bucket in byUser ends. */
+        std::vector<size_t> userEnd;
+        std::vector<size_t> byUser;
         /** serve.* telemetry, plain writes; grows once on the first
          * event and is absorbed per serveInto call, keeping the
          * steady-state loop allocation- and atomic-free. */
         StatsSlab stats;
     };
+
+    void serveBatch(const ServingEvent *events, size_t count,
+                    int *out);
+    void workerServe(size_t worker, const ServingEvent *events,
+                     size_t count, int *out);
+    void extractFeatures(WorkerScratch &scratch,
+                         const ServingEvent *events, size_t count);
+    static void extractPack(WorkerScratch &scratch,
+                            const ServingEvent *events,
+                            const LanePack &pack);
+    void decideByUser(WorkerScratch &scratch,
+                      const ServingEvent *events, size_t count,
+                      int *out);
+
+    std::vector<const HotPathPipeline *> _users;
+    size_t _batchEvents;
+    WorkerPool _pool;
     std::vector<WorkerScratch> _scratch;
 };
 

@@ -60,35 +60,19 @@ HotPathPipeline::classify(const double *segment, size_t n,
     arena.reset();
     double *feats = arena.alloc<double>(featurePoolSize);
     _extractor.extractAllInto(segment, n, feats, dwt);
-    _scaler.transformInto(feats, feats);
-    return decide(feats, arena);
-}
-
-void
-HotPathPipeline::classifyMany(const double *const *segments,
-                              size_t count, size_t n, int *out,
-                              Arena &arena, DwtScratch &dwt) const
-{
-    arena.reset();
-    double *feats = arena.alloc<double>(count * featurePoolSize);
-    _extractor.extractAllPackedInto(segments, count, n, feats, dwt,
-                                    arena);
-    for (size_t j = 0; j < count; ++j) {
-        double *row = feats + j * featurePoolSize;
-        _scaler.transformInto(row, row);
-        out[j] = decide(row, arena);
-    }
+    return classifyFeatures(feats, arena);
 }
 
 int
-HotPathPipeline::decide(const double *feats, Arena &arena) const
+HotPathPipeline::classifyFeatures(double *row, Arena &arena) const
 {
+    _scaler.transformInto(row, row);
     double score = _fusionBias;
     double lane[simdPackWidth];
     for (const PackedBase &base : _bases) {
         double *sub = arena.alloc<double>(base.dims);
         for (size_t c = 0; c < base.dims; ++c)
-            sub[c] = feats[base.featureIndices[c]];
+            sub[c] = row[base.featureIndices[c]];
 
         // Svm::decision()'s schedule: bias first, then one weighted
         // kernel term per support vector in SV order; each dot runs

@@ -57,18 +57,19 @@ class HotPathPipeline
     }
 
     /**
-     * Classify up to simdPackWidth equal-length segments in one
-     * call, writing out[j] for segment j. Feature extraction runs
-     * lane-packed (one event per SIMD lane, see
-     * computeAllKindsPacked()), so the per-event reduction chains
-     * amortize across the group; scaling and the ensemble decision
-     * then run per event on the shared scratch. Each out[j] is
-     * bit-identical to classify(segments[j], n, ...). Resets
-     * @p arena on entry; allocation-free once warmed up.
+     * Classify one raw feature row, as the extractor() writes it for
+     * a segment: scales @p row in place, then runs the ensemble
+     * decision, drawing per-base subspace scratch from @p arena
+     * without resetting it. Returns the label classify() gives that
+     * segment, bit-identically. Lets a caller extract features for
+     * many users' events at once (FeatureExtractor::
+     * extractAllPackedInto) and decide each with its own model.
      */
-    void classifyMany(const double *const *segments, size_t count,
-                      size_t n, int *out, Arena &arena,
-                      DwtScratch &dwt) const;
+    int classifyFeatures(double *row, Arena &arena) const;
+
+    /** The feature extractor classify() runs; its output depends
+     * only on the wavelet and the segment, never on the model. */
+    const FeatureExtractor &extractor() const { return _extractor; }
 
     /** Ensemble members compiled in. */
     size_t baseCount() const { return _bases.size(); }
@@ -91,11 +92,6 @@ class HotPathPipeline
         size_t dims = 0;
         double fusionWeight = 0.0;
     };
-
-    /** Scaled feature row -> +-1 label (the post-feature part of
-     * classify(); draws per-base subspace scratch from @p arena
-     * without resetting it). */
-    int decide(const double *feats, Arena &arena) const;
 
     FeatureExtractor _extractor;
     FeatureScaler _scaler;
