@@ -104,10 +104,14 @@ struct Svm
     }
 };
 
+/** The seed repo's stopping rule: quiet sweeps, then a sweep cap. */
+constexpr size_t maxPassesWithoutChange = 3;
+constexpr size_t maxIterations = 200;
+
 /**
- * The seed repo's SMO loop: no cached errors, every KKT check and
- * every second-multiplier pick recomputes the decision sum over all
- * active multipliers.
+ * The seed repo's SMO loop: a random second multiplier, no cached
+ * errors, and every KKT check and every second-multiplier pick
+ * recomputes the decision sum over all active multipliers.
  */
 Svm
 trainSvm(const Data &data, const SvmConfig &config)
@@ -130,8 +134,8 @@ trainSvm(const Data &data, const SvmConfig &config)
 
     size_t quiet_passes = 0;
     size_t iterations = 0;
-    while (quiet_passes < config.maxPassesWithoutChange &&
-           iterations < config.maxIterations) {
+    while (quiet_passes < maxPassesWithoutChange &&
+           iterations < maxIterations) {
         ++iterations;
         size_t changed = 0;
         for (size_t i = 0; i < n; ++i) {

@@ -1,5 +1,7 @@
 #include "common/simd.hh"
 
+#include <limits>
+
 // On x86-64 GNU compilers every kernel is built twice, for AVX2 and
 // for the baseline ISA, and GCC's ifunc resolver picks one at load
 // time. Neither target enables FMA and ISO C++ mode keeps
@@ -61,6 +63,51 @@ pairUpdate(double *error, const double *rowI, const double *rowJ,
 {
     for (size_t k = 0; k < n; ++k)
         error[k] += di * rowI[k] + dj * rowJ[k] + db;
+}
+
+size_t
+smoSelectUp(const double *error, const double *upOffset, size_t n,
+            double *gmax)
+{
+    double best = -std::numeric_limits<double>::infinity();
+    size_t at = n;
+    for (size_t t = 0; t < n; ++t) {
+        const double v = upOffset[t] - error[t];
+        if (v > best) {
+            best = v;
+            at = t;
+        }
+    }
+    *gmax = best;
+    return at;
+}
+
+size_t
+smoSelectLow(const double *error, const double *lowOffset,
+             const double *rowI, const double *diag, double kii,
+             double gmax, double tau, size_t n, double *gmax2)
+{
+    double top = -std::numeric_limits<double>::infinity();
+    double best = std::numeric_limits<double>::infinity();
+    size_t at = n;
+    for (size_t t = 0; t < n; ++t) {
+        const double v = error[t] + lowOffset[t];
+        if (v > top)
+            top = v;
+        const double b = gmax + v;
+        if (!(b > 0.0))
+            continue;
+        double a = (kii + diag[t]) - 2.0 * rowI[t];
+        if (a < tau)
+            a = tau;
+        const double objective = -(b * b) / a;
+        if (objective < best) {
+            best = objective;
+            at = t;
+        }
+    }
+    *gmax2 = top;
+    return at;
 }
 
 void
@@ -203,6 +250,106 @@ simdPairUpdate(double *error, const double *rowI, const double *rowJ,
     }
     for (; k < n; ++k)
         error[k] += di * rowI[k] + dj * rowJ[k] + db;
+}
+
+XPRO_SIMD_CLONES size_t
+simdSmoSelectUp(const double *error, const double *upOffset, size_t n,
+                double *gmax)
+{
+    // Per lane: the best value so far and its index. A strict compare
+    // keeps each lane's earliest index; the lane merge then prefers
+    // the lowest index among equal values, and the scalar tail only
+    // replaces on a strictly larger value.
+    const double inf = std::numeric_limits<double>::infinity();
+    V best = {-inf, -inf, -inf, -inf};
+    Mask at = {}, idx = {0, 1, 2, 3};
+    at += static_cast<long>(n);
+    size_t t = 0;
+    for (; t + vecWidth <= n; t += vecWidth, idx += vecWidth) {
+        const V v = *reinterpret_cast<const V *>(upOffset + t) -
+                    *reinterpret_cast<const V *>(error + t);
+        const Mask better = v > best;
+        best = better ? v : best;
+        at = better ? idx : at;
+    }
+    double top = -inf;
+    size_t pick = n;
+    for (size_t l = 0; l < vecWidth; ++l) {
+        const size_t lane_at = static_cast<size_t>(at[l]);
+        if (best[l] > top || (best[l] == top && lane_at < pick)) {
+            top = best[l];
+            pick = lane_at;
+        }
+    }
+    for (; t < n; ++t) {
+        const double v = upOffset[t] - error[t];
+        if (v > top) {
+            top = v;
+            pick = t;
+        }
+    }
+    *gmax = top;
+    return pick;
+}
+
+XPRO_SIMD_CLONES size_t
+simdSmoSelectLow(const double *error, const double *lowOffset,
+                 const double *rowI, const double *diag, double kii,
+                 double gmax, double tau, size_t n, double *gmax2)
+{
+    // Same lane bookkeeping as simdSmoSelectUp, for a max (gmax2)
+    // and an index-tracked min (the objective) in one pass. Lanes
+    // with b <= 0, masked ones included, never win the min.
+    const double inf = std::numeric_limits<double>::infinity();
+    V top = {-inf, -inf, -inf, -inf};
+    V best = {inf, inf, inf, inf};
+    Mask at = {}, idx = {0, 1, 2, 3};
+    at += static_cast<long>(n);
+    const V zero = {};
+    size_t t = 0;
+    for (; t + vecWidth <= n; t += vecWidth, idx += vecWidth) {
+        const V v = *reinterpret_cast<const V *>(error + t) +
+                    *reinterpret_cast<const V *>(lowOffset + t);
+        top = v > top ? v : top;
+        const V b = gmax + v;
+        V a = (kii + *reinterpret_cast<const V *>(diag + t)) -
+              2.0 * *reinterpret_cast<const V *>(rowI + t);
+        a = a < tau ? tau : a;
+        const V objective = -(b * b) / a;
+        const Mask better = (b > zero) & (objective < best);
+        best = better ? objective : best;
+        at = better ? idx : at;
+    }
+    double top_all = -inf;
+    double low = inf;
+    size_t pick = n;
+    for (size_t l = 0; l < vecWidth; ++l) {
+        if (top[l] > top_all)
+            top_all = top[l];
+        const size_t lane_at = static_cast<size_t>(at[l]);
+        if (best[l] < low || (best[l] == low && lane_at < pick)) {
+            low = best[l];
+            pick = lane_at;
+        }
+    }
+    for (; t < n; ++t) {
+        const double v = error[t] + lowOffset[t];
+        if (v > top_all)
+            top_all = v;
+        const double b = gmax + v;
+        if (!(b > 0.0))
+            continue;
+        double a = (kii + diag[t]) - 2.0 * rowI[t];
+        if (a < tau)
+            a = tau;
+        const double objective = -(b * b) / a;
+        if (objective < low) {
+            low = objective;
+            pick = t;
+        }
+    }
+    *gmax2 = top_all;
+    return pick;
 }
 
 XPRO_SIMD_CLONES void

@@ -60,6 +60,39 @@ void simdPairUpdate(double *error, const double *rowI,
                     const double *rowJ, double di, double dj, double db,
                     size_t n);
 
+/*
+ * SMO working-set selection (Fan, Chen & Lin 2005, as in LIBSVM).
+ * error[t] is the bias-free training error; membership of the index
+ * sets I_up and I_low is an offset per sample, 0.0 for members and
+ * -inf otherwise, so a scan is one branch-free max or min over every
+ * lane. These scans reduce across lanes, unlike the kernels above:
+ * a max or min with its index is exact in any order once ties keep
+ * the lowest index. Lanes use only exactly rounded operations (add,
+ * subtract, multiply, divide, compare), so every clone picks the
+ * same sample, and the same value, as scalar_ref.
+ */
+
+/**
+ * First SMO index: the first t in [0, n) maximising
+ * upOffset[t] - error[t]. Writes that maximum to *gmax and returns
+ * t; returns n with *gmax = -inf when every offset is -inf.
+ */
+size_t simdSmoSelectUp(const double *error, const double *upOffset,
+                       size_t n, double *gmax);
+
+/**
+ * Second SMO index, fused with the stopping rule's max. With
+ * v[t] = error[t] + lowOffset[t], writes max_t v[t] to *gmax2 (-inf
+ * when every offset is -inf). Over the t with
+ * b = gmax + v[t] > 0 it returns the first t minimising the
+ * second-order objective -(b * b) / max((kii + diag[t]) -
+ * 2 * rowI[t], tau); n when no t has b > 0.
+ */
+size_t simdSmoSelectLow(const double *error, const double *lowOffset,
+                        const double *rowI, const double *diag,
+                        double kii, double gmax, double tau, size_t n,
+                        double *gmax2);
+
 /**
  * Packed multi-dot micro-kernel:
  * out[j] = sum_k a[k] * packed[k * simdPackWidth + j] for j in
@@ -165,6 +198,11 @@ void scale(double *dst, const double *src, double c, size_t n);
 void axpy(double *dst, const double *src, double c, size_t n);
 void pairUpdate(double *error, const double *rowI, const double *rowJ,
                 double di, double dj, double db, size_t n);
+size_t smoSelectUp(const double *error, const double *upOffset,
+                   size_t n, double *gmax);
+size_t smoSelectLow(const double *error, const double *lowOffset,
+                    const double *rowI, const double *diag, double kii,
+                    double gmax, double tau, size_t n, double *gmax2);
 void zscore(double *dst, const double *src, double mu, double sigma,
             size_t n);
 void maxMinSumPacked(const double *packed, size_t n, double *maxOut,

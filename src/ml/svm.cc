@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/logging.hh"
-#include "common/random.hh"
 #include "common/simd.hh"
 #include "obs/stats_registry.hh"
 
@@ -18,7 +18,7 @@ namespace
 // whichever thread runs it.
 struct SvmStatIds
 {
-    StatId trained, sweeps, pairSteps;
+    StatId trained, pairSteps, stepCapHits;
 };
 
 const SvmStatIds &
@@ -27,13 +27,122 @@ svmStatIds()
     static const SvmStatIds ids = [] {
         StatsRegistry &reg = StatsRegistry::instance();
         return SvmStatIds{reg.registerCounter("ml.svm_trained"),
-                          reg.registerCounter("ml.smo_sweeps"),
-                          reg.registerCounter("ml.smo_pair_steps")};
+                          reg.registerCounter("ml.smo_pair_steps"),
+                          reg.registerCounter("ml.smo_step_cap_hits")};
     }();
     return ids;
 }
 
+// A safety net, not a stopping rule: pair steps allowed per training
+// sample. The largest fleet training converges in under 6 per
+// sample.
+constexpr size_t maxStepsPerSample = 100;
+
+// LIBSVM's TAU: the curvature floor for a pair whose kernel rows
+// coincide.
+constexpr double minCurvature = 1e-12;
+
+constexpr double infinity = std::numeric_limits<double>::infinity();
+
 } // namespace
+
+SmoSolution
+solveSmo(const FlatMatrix &gram, const std::vector<int> &labels,
+         double c, double tolerance)
+{
+    const size_t n = labels.size();
+    xproAssert(gram.size() == n && gram.cols() == n,
+               "Gram is %zux%zu for %zu samples", gram.size(),
+               gram.cols(), n);
+    xproAssert(c > 0.0, "soft-margin penalty must be positive");
+
+    // error[t] = sum_s alpha_s y_s K_ts - y_t, the decision value
+    // without bias minus the label (LIBSVM's y_t * G_t). I_up holds
+    // the samples whose alpha_t y_t can still grow, I_low those whose
+    // alpha_t y_t can still shrink; membership is a 0 / -inf offset
+    // per sample for the selection scans.
+    SmoSolution out;
+    std::vector<double> &alpha = out.alpha;
+    alpha.assign(n, 0.0);
+    std::vector<double> error(n), diag(n), up(n), low(n);
+    const auto refresh_sets = [&](size_t t) {
+        const bool positive = labels[t] > 0;
+        const bool above_zero = alpha[t] > 0.0;
+        const bool below_c = alpha[t] < c;
+        up[t] = (positive ? below_c : above_zero) ? 0.0 : -infinity;
+        low[t] = (positive ? above_zero : below_c) ? 0.0 : -infinity;
+    };
+    for (size_t t = 0; t < n; ++t) {
+        error[t] = -static_cast<double>(labels[t]);
+        diag[t] = gram.rowData(t)[t];
+        refresh_sets(t);
+    }
+
+    const size_t max_steps = maxStepsPerSample * n;
+    for (;;) {
+        double gmax, gmax2;
+        const size_t i =
+            simdSmoSelectUp(error.data(), up.data(), n, &gmax);
+        if (i == n)
+            break;
+        const double *row_i = gram.rowData(i);
+        const size_t j = simdSmoSelectLow(error.data(), low.data(),
+                                          row_i, diag.data(), diag[i],
+                                          gmax, minCurvature, n, &gmax2);
+        if (j == n || gmax + gmax2 < tolerance)
+            break;
+        if (out.steps == max_steps) {
+            out.capped = true;
+            break;
+        }
+
+        // Move alpha_i y_i up and alpha_j y_j down by lambda, the
+        // Newton step on the pair clipped to both boxes. A multiplier
+        // whose box stops the step lands exactly on its bound.
+        const double curvature = std::max(
+            diag[i] + diag[j] - 2.0 * row_i[j], minCurvature);
+        const double room_i = labels[i] > 0 ? c - alpha[i] : alpha[i];
+        const double room_j = labels[j] > 0 ? alpha[j] : c - alpha[j];
+        const double lambda =
+            std::min({(gmax + error[j]) / curvature, room_i, room_j});
+        alpha[i] = lambda == room_i ? (labels[i] > 0 ? c : 0.0)
+                                    : alpha[i] + labels[i] * lambda;
+        alpha[j] = lambda == room_j ? (labels[j] > 0 ? 0.0 : c)
+                                    : alpha[j] - labels[j] * lambda;
+        simdPairUpdate(error.data(), row_i, gram.rowData(j), lambda,
+                       -lambda, 0.0, n);
+        refresh_sets(i);
+        refresh_sets(j);
+        ++out.steps;
+    }
+
+    // LIBSVM's calculate_rho: the bias makes the free multipliers'
+    // errors zero on average; with none free it is the midpoint of
+    // the interval the bounded ones allow.
+    double upper = infinity, lower = -infinity, free_sum = 0.0;
+    size_t free_count = 0;
+    for (size_t t = 0; t < n; ++t) {
+        const bool positive = labels[t] > 0;
+        if (alpha[t] >= c) {
+            if (positive)
+                lower = std::max(lower, error[t]);
+            else
+                upper = std::min(upper, error[t]);
+        } else if (alpha[t] <= 0.0) {
+            if (positive)
+                upper = std::min(upper, error[t]);
+            else
+                lower = std::max(lower, error[t]);
+        } else {
+            ++free_count;
+            free_sum += error[t];
+        }
+    }
+    out.bias = free_count > 0
+                   ? -free_sum / static_cast<double>(free_count)
+                   : -0.5 * (upper + lower);
+    return out;
+}
 
 Svm
 Svm::train(const LabeledData &data, const SvmConfig &config)
@@ -53,131 +162,26 @@ Svm::train(const LabeledData &data, const SvmConfig &config)
         fatal("SVM training data must contain both classes");
 
     // One batched pass builds the full training Gram (upper triangle
-    // evaluated, lower mirrored); the SMO loop below never calls the
-    // kernel again.
-    const FlatMatrix gram = config.kernel.gramSymmetric(data.rows);
-
-    // Simplified SMO (Platt 1998 as in the CS229 formulation):
-    // repeatedly pick KKT-violating multipliers and optimize pairs
-    // analytically. error[k] caches f(x_k) - y_k and is updated
-    // incrementally after every successful pair step, so candidate
-    // screening is O(1) per sample instead of a fresh O(n) decision
-    // sum.
-    std::vector<double> alpha(n, 0.0);
-    std::vector<double> error(n);
-    for (size_t k = 0; k < n; ++k)
-        error[k] = -static_cast<double>(data.labels[k]);
-    double bias = 0.0;
-    Rng rng(0xC0FFEE);
-
-    size_t quiet_passes = 0;
-    size_t iterations = 0;
-    size_t pair_steps = 0;
-    while (quiet_passes < config.maxPassesWithoutChange &&
-           iterations < config.maxIterations) {
-        ++iterations;
-        size_t changed = 0;
-        for (size_t i = 0; i < n; ++i) {
-            const double error_i = error[i];
-            const bool violates =
-                (data.labels[i] * error_i < -config.tolerance &&
-                 alpha[i] < config.c) ||
-                (data.labels[i] * error_i > config.tolerance &&
-                 alpha[i] > 0.0);
-            if (!violates)
-                continue;
-
-            // Pick a random second multiplier distinct from i.
-            size_t j = static_cast<size_t>(rng.below(n - 1));
-            if (j >= i)
-                ++j;
-            const double error_j = error[j];
-
-            const double alpha_i_old = alpha[i];
-            const double alpha_j_old = alpha[j];
-
-            double low;
-            double high;
-            if (data.labels[i] != data.labels[j]) {
-                low = std::max(0.0, alpha[j] - alpha[i]);
-                high = std::min(config.c,
-                                config.c + alpha[j] - alpha[i]);
-            } else {
-                low = std::max(0.0, alpha[i] + alpha[j] - config.c);
-                high = std::min(config.c, alpha[i] + alpha[j]);
-            }
-            if (high - low < 1e-12)
-                continue;
-
-            const double k_ii = gram.row(i)[i];
-            const double k_jj = gram.row(j)[j];
-            const double k_ij = gram.row(i)[j];
-            const double eta = 2.0 * k_ij - k_ii - k_jj;
-            if (eta >= -1e-12)
-                continue;
-
-            double alpha_j_new =
-                alpha_j_old -
-                data.labels[j] * (error_i - error_j) / eta;
-            alpha_j_new = std::clamp(alpha_j_new, low, high);
-            if (std::fabs(alpha_j_new - alpha_j_old) < 1e-7)
-                continue;
-
-            const double alpha_i_new =
-                alpha_i_old + data.labels[i] * data.labels[j] *
-                                  (alpha_j_old - alpha_j_new);
-            alpha[i] = alpha_i_new;
-            alpha[j] = alpha_j_new;
-
-            const double b1 =
-                bias - error_i -
-                data.labels[i] * (alpha_i_new - alpha_i_old) * k_ii -
-                data.labels[j] * (alpha_j_new - alpha_j_old) * k_ij;
-            const double b2 =
-                bias - error_j -
-                data.labels[i] * (alpha_i_new - alpha_i_old) * k_ij -
-                data.labels[j] * (alpha_j_new - alpha_j_old) * k_jj;
-            double bias_new;
-            if (alpha_i_new > 0.0 && alpha_i_new < config.c) {
-                bias_new = b1;
-            } else if (alpha_j_new > 0.0 && alpha_j_new < config.c) {
-                bias_new = b2;
-            } else {
-                bias_new = 0.5 * (b1 + b2);
-            }
-
-            // Propagate the pair step into the cached errors: the
-            // decision function moved by the two weighted kernel
-            // rows plus the bias shift.
-            const double delta_i =
-                (alpha_i_new - alpha_i_old) * data.labels[i];
-            const double delta_j =
-                (alpha_j_new - alpha_j_old) * data.labels[j];
-            const double delta_b = bias_new - bias;
-            simdPairUpdate(error.data(), gram.rowData(i),
-                           gram.rowData(j), delta_i, delta_j, delta_b,
-                           n);
-            bias = bias_new;
-            ++changed;
-        }
-        pair_steps += changed;
-        quiet_passes = changed == 0 ? quiet_passes + 1 : 0;
-    }
+    // evaluated, lower mirrored); the solver never calls the kernel.
+    const SmoSolution solution =
+        solveSmo(config.kernel.gramSymmetric(data.rows), data.labels,
+                 config.c, config.tolerance);
 
     const SvmStatIds &ids = svmStatIds();
     StatsRegistry &reg = StatsRegistry::instance();
     reg.add(ids.trained);
-    reg.add(ids.sweeps, iterations);
-    reg.add(ids.pairSteps, pair_steps);
+    reg.add(ids.pairSteps, solution.steps);
+    reg.add(ids.stepCapHits, solution.capped ? 1 : 0);
 
     Svm model;
     model._kernel = config.kernel;
-    model._bias = bias;
+    model._bias = solution.bias;
     model._dimension = data.dimension();
     for (size_t i = 0; i < n; ++i) {
-        if (alpha[i] > 1e-9) {
+        const double alpha = solution.alpha[i];
+        if (alpha > 1e-9) {
             model._supportVectors.push_back(data.rows[i]);
-            model._weights.push_back(alpha[i] * data.labels[i]);
+            model._weights.push_back(alpha * data.labels[i]);
         }
     }
     model._svNorms = model._supportVectors.rowSquaredNorms();

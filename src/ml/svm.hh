@@ -7,13 +7,15 @@
  * functional cell.
  *
  * The hot path is batch-first: training consumes one symmetric Gram
- * matrix built in a single blocked pass, the SMO loop runs on a
- * cached error vector (no kernel evaluations inside the loop), and
- * inference over a whole dataset goes through decisionBatch(), which
- * evaluates the test-by-support-vector kernel block with the same
- * batched Gram builder. Per-sample decision() shares the exact
- * floating-point schedule, so batch and per-sample results are
- * bit-identical.
+ * matrix built in a single blocked pass, and the SMO solver runs on a
+ * cached error vector (no kernel evaluations inside the loop). It
+ * picks each pair by second-order working-set selection (Fan, Chen &
+ * Lin, JMLR 2005, as in LIBSVM) and stops when the maximal violating
+ * pair's gap is below the tolerance. Inference over a whole dataset
+ * goes through decisionBatch(), which evaluates the
+ * test-by-support-vector kernel block with the same batched Gram
+ * builder. Per-sample decision() shares the exact floating-point
+ * schedule, so batch and per-sample results are bit-identical.
  */
 
 #ifndef XPRO_ML_SVM_HH
@@ -44,13 +46,33 @@ struct SvmConfig
     Kernel kernel;
     /** Soft-margin penalty. */
     double c = 1.0;
-    /** KKT violation tolerance. */
+    /** Training stops once the maximal violating pair's gap is
+     *  below this. */
     double tolerance = 1e-3;
-    /** Stop after this many passes without alpha updates. */
-    size_t maxPassesWithoutChange = 3;
-    /** Hard cap on optimization sweeps. */
-    size_t maxIterations = 200;
 };
+
+/** The dual solution one SMO training reached. */
+struct SmoSolution
+{
+    /** One multiplier per training sample, each in [0, C]. */
+    std::vector<double> alpha;
+    double bias = 0.0;
+    /** Pair steps taken. */
+    size_t steps = 0;
+    /** True when the step cap, not the gap, ended the solve. */
+    bool capped = false;
+};
+
+/**
+ * The solver behind Svm::train, on a precomputed symmetric Gram
+ * matrix: minimise the SVM dual over alpha in [0, c] with
+ * sum_t alpha_t y_t = 0 until the maximal violating pair's gap is
+ * below @p tolerance. Exposed so tests can check the stopping rule
+ * against the multipliers.
+ */
+SmoSolution solveSmo(const FlatMatrix &gram,
+                     const std::vector<int> &labels, double c,
+                     double tolerance);
 
 /** A trained binary SVM. */
 class Svm

@@ -15,7 +15,9 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -106,6 +108,126 @@ TEST(SimdKernelTest, PairUpdateMatchesScalarReferenceExactly)
             inline_loop[k] += di * row_i[k] + dj * row_j[k] + db;
         expectSameBits(scalar.data(), inline_loop.data(), n,
                        "ref n=" + std::to_string(n));
+    }
+}
+
+/** Values in {-1, 0, 1}, so extrema repeat within and across lanes. */
+std::vector<double>
+tiedVector(Rng &rng, size_t n)
+{
+    std::vector<double> values(n);
+    for (double &v : values)
+        v = static_cast<double>(rng.below(3)) - 1.0;
+    return values;
+}
+
+/** SMO membership offsets: 0.0 with probability @p share, else -inf. */
+std::vector<double>
+membershipOffsets(Rng &rng, size_t n, double share)
+{
+    std::vector<double> offsets(n);
+    for (double &v : offsets)
+        v = rng.uniform(0.0, 1.0) < share
+                ? 0.0
+                : -std::numeric_limits<double>::infinity();
+    return offsets;
+}
+
+TEST(SimdKernelTest, SmoSelectionScansMatchScalarReferenceExactly)
+{
+    // Variants: random values with mixed membership, tied values
+    // with mixed membership, tied values with every sample a member,
+    // and no members at all.
+    Rng rng(40607);
+    for (size_t n : {0u, 1u, 3u, 4u, 5u, 7u, 8u, 9u, 200u}) {
+        for (int variant = 0; variant < 4; ++variant) {
+            const std::string what = "n=" + std::to_string(n) +
+                                     " variant " +
+                                     std::to_string(variant);
+            const bool tied = variant == 1 || variant == 2;
+            const double share =
+                variant == 2 ? 1.0 : (variant == 3 ? 0.0 : 0.6);
+            const auto values = [&] {
+                return tied ? tiedVector(rng, n) : randomVector(rng, n);
+            };
+            const std::vector<double> error = values();
+            const std::vector<double> row_i = values();
+            std::vector<double> diag = values();
+            for (double &d : diag)
+                d = std::fabs(d) + 0.5;
+            const std::vector<double> up =
+                membershipOffsets(rng, n, share);
+            const std::vector<double> low =
+                membershipOffsets(rng, n, share);
+            const double kii = tied ? 1.0 : rng.uniform(0.5, 2.0);
+            const double tau = 1e-12;
+
+            double gmax_simd = 0.0, gmax_ref = 0.0;
+            const size_t i_simd = simdSmoSelectUp(
+                error.data(), up.data(), n, &gmax_simd);
+            const size_t i_ref = scalar_ref::smoSelectUp(
+                error.data(), up.data(), n, &gmax_ref);
+            EXPECT_EQ(i_simd, i_ref) << what;
+            expectSameBits(&gmax_simd, &gmax_ref, 1, what + " gmax");
+
+            // The reference picks the first member at the maximum.
+            size_t first = n;
+            for (size_t t = 0; t < n; ++t) {
+                if (up[t] == 0.0 && -error[t] == gmax_ref) {
+                    first = t;
+                    break;
+                }
+            }
+            if (first < n) {
+                EXPECT_EQ(i_ref, first) << what;
+            }
+            if (share == 0.0) {
+                EXPECT_EQ(i_ref, n) << what;
+                EXPECT_EQ(gmax_ref,
+                          -std::numeric_limits<double>::infinity())
+                    << what;
+            }
+
+            // A gmax that makes some b = gmax + v positive, and 0.0 for
+            // the all-members tied case so that b ties at 1.
+            const double gmax = variant == 2 ? 0.0 : rng.uniform(0.0, 2.0);
+            double gmax2_simd = 0.0, gmax2_ref = 0.0;
+            const size_t j_simd = simdSmoSelectLow(
+                error.data(), low.data(), row_i.data(), diag.data(), kii,
+                gmax, tau, n, &gmax2_simd);
+            const size_t j_ref = scalar_ref::smoSelectLow(
+                error.data(), low.data(), row_i.data(), diag.data(), kii,
+                gmax, tau, n, &gmax2_ref);
+            EXPECT_EQ(j_simd, j_ref) << what;
+            expectSameBits(&gmax2_simd, &gmax2_ref, 1, what + " gmax2");
+            if (share == 0.0) {
+                EXPECT_EQ(j_ref, n) << what;
+                EXPECT_EQ(gmax2_ref,
+                          -std::numeric_limits<double>::infinity())
+                    << what;
+            }
+        }
+    }
+}
+
+TEST(SimdKernelTest, SmoSelectionScansKeepTheLowestIndexOnTies)
+{
+    // Every sample equal: both scans must pick sample 0, whichever
+    // lane it sits in, at lengths with and without a scalar tail.
+    for (size_t n : {1u, 4u, 5u, 9u, 200u}) {
+        const std::vector<double> error(n, -1.0), zero(n, 0.0),
+            row_i(n, 0.25), diag(n, 1.0);
+        double gmax = 0.0, gmax2 = 0.0;
+        EXPECT_EQ(simdSmoSelectUp(error.data(), zero.data(), n, &gmax),
+                  0u)
+            << n;
+        EXPECT_EQ(gmax, 1.0) << n;
+        EXPECT_EQ(simdSmoSelectLow(error.data(), zero.data(),
+                                   row_i.data(), diag.data(), 1.0, 2.0,
+                                   1e-12, n, &gmax2),
+                  0u)
+            << n;
+        EXPECT_EQ(gmax2, -1.0) << n;
     }
 }
 

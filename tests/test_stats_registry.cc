@@ -403,7 +403,7 @@ TEST(StatsDeterminismTest, DesignStatNamesArePinnedAndWorkerInvariant)
         "data.segments_skipped",
         "data.segments_synthesized",
         "ml.smo_pair_steps",
-        "ml.smo_sweeps",
+        "ml.smo_step_cap_hits",
         "ml.svm_trained",
     };
     ASSERT_EQ(names, expected);
@@ -411,11 +411,11 @@ TEST(StatsDeterminismTest, DesignStatNamesArePinnedAndWorkerInvariant)
 
     const auto value = [&](size_t i) { return one[i].second; };
     // Each node synthesizes only its split, and trains every
-    // candidate once.
+    // candidate once, each until its gap closes.
     EXPECT_GT(value(0), 0u);
     EXPECT_EQ(value(0) + value(1), segments);
     EXPECT_EQ(value(4), 3u * 6u);
-    EXPECT_GE(value(3), value(4));
+    EXPECT_EQ(value(3), 0u);
     EXPECT_GT(value(2), 0u);
 }
 
