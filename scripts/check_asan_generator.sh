@@ -11,7 +11,9 @@
 # and the stats-registry suite (fixed
 # cell array bounds, slab growth), and the fleet design suites
 # (the RNG's gaussian skips, masked dataset synthesis, SMO's pair
-# step kernel, split-only feature extraction). Usage:
+# step kernel, split-only feature extraction), and the DSP suites
+# (the DWT and its golden vectors, the float and fixed-point feature
+# sets, the feature pool). Usage:
 #
 #   scripts/check_asan_generator.sh [build-dir]
 #
@@ -32,8 +34,10 @@ cmake --build "$build" \
              test_simd_kernels test_simd_kernels_baseline \
              test_stats_registry test_data_synth test_random \
              test_svm test_pipeline \
+             test_dwt test_dwt_fixed test_features \
+             test_features_fixed test_feature_pool \
     -j "$(nproc)"
 ctest --test-dir "$build" \
-    -L 'generator|partitioner|flow|ml|robust|control|hotpath|obs|design' \
+    -L 'generator|partitioner|flow|ml|robust|control|hotpath|obs|design|dsp' \
     --output-on-failure
 echo "ASan/UBSan generator pass: OK"

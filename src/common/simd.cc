@@ -188,6 +188,27 @@ moment34Packed(const double *packed, size_t n, const double *mu,
     }
 }
 
+void
+dwtStepPacked(const double *in, size_t m, const double *low,
+              const double *high, size_t taps, double *approx,
+              double *detail)
+{
+    for (size_t j = 0; j < simdPackWidth; ++j) {
+        for (size_t k = 0; k < m / 2; ++k) {
+            double a = 0.0;
+            double d = 0.0;
+            for (size_t t = 0; t < taps; ++t) {
+                const double x =
+                    in[((2 * k + t) % m) * simdPackWidth + j];
+                a += low[t] * x;
+                d += high[t] * x;
+            }
+            approx[k * simdPackWidth + j] = a;
+            detail[k * simdPackWidth + j] = d;
+        }
+    }
+}
+
 } // namespace scalar_ref
 
 namespace
@@ -492,15 +513,49 @@ simdMoment34Packed(const double *packed, size_t n, const double *mu,
     lanes4[1] = a41;
 }
 
+XPRO_SIMD_CLONES void
+simdDwtStepPacked(const double *in, size_t m, const double *low,
+                  const double *high, size_t taps, double *approx,
+                  double *detail)
+{
+    // Zero-initialised accumulators plus one tap per add: the scalar
+    // 0.0 start, so -0.0 products round to +0.0 exactly as there.
+    const V *tile = reinterpret_cast<const V *>(in);
+    V *a = reinterpret_cast<V *>(approx);
+    V *d = reinterpret_cast<V *>(detail);
+    for (size_t k = 0; k < m / 2; ++k) {
+        V a0 = {}, a1 = {}, d0 = {}, d1 = {};
+        size_t row = 2 * k;
+        for (size_t t = 0; t < taps; ++t, ++row) {
+            if (row == m)
+                row = 0;
+            const V x0 = tile[2 * row], x1 = tile[2 * row + 1];
+            a0 += low[t] * x0;
+            a1 += low[t] * x1;
+            d0 += high[t] * x0;
+            d1 += high[t] * x1;
+        }
+        a[2 * k] = a0;
+        a[2 * k + 1] = a1;
+        d[2 * k] = d0;
+        d[2 * k + 1] = d1;
+    }
+}
+
 void
 simdPackRows(const double *const *rows, size_t count, size_t n,
              double *packed)
 {
+    // Local row pointers: the stores may alias rows[], which would
+    // otherwise be reloaded for every element.
+    const double *src[simdPackWidth];
+    for (size_t j = 0; j < count; ++j)
+        src[j] = rows[j];
     for (size_t k = 0; k < n; ++k) {
         double *col = packed + k * simdPackWidth;
         size_t j = 0;
         for (; j < count; ++j)
-            col[j] = rows[j][k];
+            col[j] = src[j][k];
         for (; j < simdPackWidth; ++j)
             col[j] = 0.0;
     }

@@ -176,6 +176,19 @@ void simdMoment34Packed(const double *packed, size_t n,
                         double *acc3, double *acc4);
 
 /**
+ * Per-lane DWT analysis step with periodic extension: @p in holds
+ * @p m tile rows (m even, m >= @p taps), and for k in [0, m/2)
+ * lane j of row k of @p approx (@p detail) is the sum over tap t of
+ * low[t] (high[t]) * in[((2k + t) mod m) * simdPackWidth + j],
+ * accumulated from 0.0 in tap order — dwtStep()'s loop per lane, so
+ * every lane is bit-identical to the single-signal transform. The
+ * outputs must not overlap @p in.
+ */
+void simdDwtStepPacked(const double *in, size_t m, const double *low,
+                       const double *high, size_t taps,
+                       double *approx, double *detail);
+
+/**
  * Transpose up to simdPackWidth equal-length rows into the
  * interleaved layout simdDotPacked() consumes:
  * packed[k * simdPackWidth + j] = rows[j][k]. Columns past @p count
@@ -213,6 +226,9 @@ void signCrossingsPacked(const double *packed, size_t n,
                          double *out);
 void moment34Packed(const double *packed, size_t n, const double *mu,
                     const double *sigma, double *acc3, double *acc4);
+void dwtStepPacked(const double *in, size_t m, const double *low,
+                   const double *high, size_t taps, double *approx,
+                   double *detail);
 
 } // namespace scalar_ref
 

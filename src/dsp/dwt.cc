@@ -43,8 +43,9 @@ highPassTaps(Wavelet wavelet)
 }
 
 /**
- * Cached high-pass taps; the steady-state decompose() path must not
- * construct the tap vector per call (zero-allocation contract).
+ * Cached high-pass taps, built once per family: no transform
+ * constructs a tap vector per call (the decompose() paths'
+ * zero-allocation contract).
  */
 const std::vector<double> &
 highPassTapsCached(Wavelet wavelet)
@@ -70,7 +71,7 @@ DwtLevel
 dwtStep(const std::vector<double> &signal, Wavelet wavelet)
 {
     const std::vector<double> &low = lowPassTaps(wavelet);
-    const std::vector<double> high = highPassTaps(wavelet);
+    const std::vector<double> &high = highPassTapsCached(wavelet);
     const size_t n = signal.size();
     xproAssert(n % 2 == 0, "DWT input length %zu must be even", n);
     xproAssert(n >= low.size(), "DWT input shorter than filter");
@@ -96,7 +97,7 @@ std::vector<double>
 idwtStep(const DwtLevel &level, Wavelet wavelet)
 {
     const std::vector<double> &low = lowPassTaps(wavelet);
-    const std::vector<double> high = highPassTaps(wavelet);
+    const std::vector<double> &high = highPassTapsCached(wavelet);
     const size_t half = level.approx.size();
     xproAssert(level.detail.size() == half,
                "approx/detail length mismatch");
@@ -190,6 +191,46 @@ DwtScratch::decompose(const double *signal, size_t n,
     _approxOffset = coefCursor;
     std::memcpy(_coefs.data() + _approxOffset, cur,
                 m * sizeof(double));
+}
+
+void
+DwtScratch::decomposePacked(const double *tile, size_t n,
+                            Wavelet wavelet, size_t levels,
+                            double *const *details, double *approx)
+{
+    xproAssert(levels > 0, "need at least one DWT level");
+    xproAssert(n % (size_t{1} << levels) == 0,
+               "signal length %zu not divisible by 2^%zu", n,
+               levels);
+    const std::vector<double> &low = lowPassTaps(wavelet);
+    const std::vector<double> &high = highPassTapsCached(wavelet);
+
+    // Level l's approximation goes to half l % 2 of the work tiles
+    // (n/2 rows, then n/4), the last level's straight to @p approx.
+    const size_t pong = n / 2 * simdPackWidth;
+    if (_packedWork.size() < pong + pong / 2)
+        _packedWork.resize(pong + pong / 2);
+
+    const double *cur = tile;
+    size_t m = n;
+    for (size_t level = 0; level < levels; ++level) {
+        xproAssert(m >= low.size(), "DWT input shorter than filter");
+        double *next = level + 1 == levels
+                           ? approx
+                           : _packedWork.data() + (level % 2) * pong;
+        simdDwtStepPacked(cur, m, low.data(), high.data(), low.size(),
+                          next, details[level]);
+        cur = next;
+        m /= 2;
+    }
+}
+
+double *
+DwtScratch::packedFrame(size_t rows)
+{
+    if (_packedFrame.size() < rows * simdPackWidth)
+        _packedFrame.resize(rows * simdPackWidth);
+    return _packedFrame.data();
 }
 
 DwtDecomposition

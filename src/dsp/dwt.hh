@@ -113,11 +113,32 @@ class DwtScratch
     }
     size_t approxSize() const { return _n >> _levels; }
 
+    /**
+     * Lane-packed decompose(): @p tile holds simdPackWidth signals
+     * of length @p n in the interleaved layout of simdPackRows().
+     * Level l's detail tile (n >> (l + 1) rows) lands in
+     * details[l] and the final approximation tile (n >> levels rows)
+     * in @p approx, each lane bit-identical to decompose() of that
+     * lane alone. The inter-level approximations ping-pong through
+     * the scratch's own tiles; the outputs must not overlap @p tile.
+     */
+    void decomposePacked(const double *tile, size_t n, Wavelet wavelet,
+                         size_t levels, double *const *details,
+                         double *approx);
+
+    /**
+     * Grow-only tile of @p rows lane-packed rows for a caller that
+     * builds a padded frame; valid until the next call.
+     */
+    double *packedFrame(size_t rows);
+
   private:
     std::vector<double> _coefs;   ///< details then final approx
     std::vector<double> _work;    ///< inter-level approx ping buffer
     std::vector<double> _evenExt; ///< even phase + periodic tail
     std::vector<double> _oddExt;  ///< odd phase + periodic tail
+    std::vector<double> _packedWork;  ///< ping-pong approx tiles
+    std::vector<double> _packedFrame; ///< see packedFrame()
     std::vector<size_t> _detailOffsets;
     size_t _approxOffset = 0;
     size_t _levels = 0;

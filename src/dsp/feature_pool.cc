@@ -152,57 +152,37 @@ FeatureExtractor::extractAllPackedInto(const double *const *segments,
 
     // Domain signal lengths are fixed by the frame length, except
     // the time domain which runs on the raw segment.
+    const size_t dwt5Detail = dwtFrameLength >> dwtLevels;
     size_t lens[featureDomainCount];
     lens[0] = n;
     for (size_t level = 1; level < dwtLevels; ++level)
         lens[level] = dwtFrameLength >> level;
-    lens[dwtLevels] = 2 * (dwtFrameLength >> dwtLevels);
+    lens[dwtLevels] = 2 * dwt5Detail;
 
+    // The time tile, zero-padded to the frame's rows and in the
+    // padding lanes, doubles as the DWT frame: its first
+    // dwtFrameLength rows are each lane's frameForDwt(). A short
+    // segment's padded tile lives in the scratch, so a pack draws
+    // no more arena than its domain tiles.
     double *tiles[featureDomainCount];
-    for (size_t d = 0; d < featureDomainCount; ++d) {
+    if (n < dwtFrameLength) {
+        tiles[0] = scratch.packedFrame(dwtFrameLength);
+        std::fill(tiles[0] + n * simdPackWidth,
+                  tiles[0] + dwtFrameLength * simdPackWidth, 0.0);
+    } else {
+        tiles[0] = arena.alloc<double>(n * simdPackWidth);
+    }
+    simdPackRows(segments, count, n, tiles[0]);
+    for (size_t d = 1; d < featureDomainCount; ++d)
         tiles[d] = arena.alloc<double>(lens[d] * simdPackWidth);
-        // Zero the padding lanes so the packed kernels never see
-        // stale arena bytes (NaN/denormal lanes would be slow even
-        // though their results are discarded).
-        for (size_t i = 0; i < lens[d] && count < simdPackWidth;
-             ++i) {
-            for (size_t j = count; j < simdPackWidth; ++j)
-                tiles[d][i * simdPackWidth + j] = 0.0;
-        }
-    }
 
-    for (size_t j = 0; j < count; ++j) {
-        double frame[dwtFrameLength] = {};
-        const size_t copied = std::min(n, dwtFrameLength);
-        for (size_t i = 0; i < copied; ++i)
-            frame[i] = segments[j][i];
-        scratch.decompose(frame, dwtFrameLength, _wavelet,
-                          dwtLevels);
-
-        for (size_t i = 0; i < n; ++i)
-            tiles[0][i * simdPackWidth + j] = segments[j][i];
-        for (size_t level = 1; level <= dwtLevels; ++level) {
-            const double *detail = scratch.detailData(level - 1);
-            const size_t detailLen = scratch.detailSize(level - 1);
-            double *tile = tiles[level];
-            for (size_t i = 0; i < detailLen; ++i)
-                tile[i * simdPackWidth + j] = detail[i];
-            if (level == dwtLevels) {
-                // Level 5 covers both 4-sample segments: detail and
-                // final approximation.
-                const double *approx = scratch.approxData();
-                for (size_t i = 0; i < scratch.approxSize(); ++i)
-                    tile[(detailLen + i) * simdPackWidth + j] =
-                        approx[i];
-                xproAssert(detailLen + scratch.approxSize() ==
-                               lens[level],
-                           "dwt5 length mismatch");
-            } else {
-                xproAssert(detailLen == lens[level],
-                           "dwt%zu length mismatch", level);
-            }
-        }
-    }
+    // Level 5 covers both 4-sample segments: its tile holds the
+    // detail rows, then the final approximation rows. Zero padding
+    // lanes stay zero through the transform.
+    scratch.decomposePacked(tiles[0], dwtFrameLength, _wavelet,
+                            dwtLevels, tiles + 1,
+                            tiles[dwtLevels] +
+                                dwt5Detail * simdPackWidth);
 
     for (size_t d = 0; d < featureDomainCount; ++d)
         computeAllKindsPacked(tiles[d], lens[d], count,

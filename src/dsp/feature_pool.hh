@@ -105,13 +105,14 @@ class FeatureExtractor
      * Cross-event extractAll: extracts the full pool for up to
      * simdPackWidth equal-length segments at once, writing segment
      * j's featurePoolSize values to outRows[j * featurePoolSize ..].
-     * The DWT still runs per event (into @p scratch), but each
-     * domain's signals are transposed into a packed lane tile (drawn
-     * from @p arena) and all statistics run through
+     * The segments are transposed once into a lane tile that doubles
+     * as the DWT frame; DwtScratch::decomposePacked() writes each
+     * level's detail tile straight into its domain tile (drawn from
+     * @p arena), and all statistics run through
      * computeAllKindsPacked() — one event per lane, bit-identical to
-     * extractAllInto() per segment, with the reduction chains
-     * amortized across the group. Allocation-free once @p arena and
-     * @p scratch reached their high-water marks.
+     * extractAllInto() per segment, with the filter bank and the
+     * reduction chains amortized across the group. Allocation-free
+     * once @p arena and @p scratch reached their high-water marks.
      */
     void extractAllPackedInto(const double *const *segments,
                               size_t count, size_t n,

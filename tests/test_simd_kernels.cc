@@ -378,4 +378,81 @@ TEST(SimdKernelTest, PackedStatsKernelsMatchScalarReference)
     expectPackedStatsMatch(signedZeroTieRows(), rng);
 }
 
+TEST(SimdKernelTest, DwtStepPackedMatchesScalarReferenceExactly)
+{
+    // Haar and Db4 analysis taps with their quadrature mirrors, as
+    // dsp/dwt builds them.
+    const double h = 1.0 / std::sqrt(2.0);
+    const std::vector<std::vector<double>> lows = {
+        {h, h},
+        {0.48296291314469025, 0.83651630373746899,
+         0.22414386804185735, -0.12940952255092145},
+    };
+    Rng rng(70708);
+    for (const std::vector<double> &low : lows) {
+        const size_t taps = low.size();
+        std::vector<double> high(taps);
+        for (size_t t = 0; t < taps; ++t)
+            high[t] = (t % 2 == 0 ? 1.0 : -1.0) * low[taps - 1 - t];
+        for (size_t m = 8; m <= 256; m += 8) {
+            // Live lanes: random, all +0.0, alternating +-0.0, all
+            // -0.0, tiny and huge; lanes past `live` are padding.
+            for (size_t live : {1u, 5u, 8u}) {
+                std::vector<std::vector<double>> rows;
+                std::vector<const double *> rowPtrs;
+                for (size_t j = 0; j < live; ++j) {
+                    std::vector<double> row = randomVector(rng, m);
+                    for (size_t i = 0; i < m; ++i) {
+                        switch ((j + m / 8) % 6) {
+                        case 1:
+                            row[i] = 0.0;
+                            break;
+                        case 2:
+                            row[i] = i % 2 ? -0.0 : 0.0;
+                            break;
+                        case 3:
+                            row[i] = -0.0;
+                            break;
+                        case 4:
+                            row[i] *= 1e-310;
+                            break;
+                        case 5:
+                            row[i] *= 1e150;
+                            break;
+                        default:
+                            break;
+                        }
+                    }
+                    rows.push_back(std::move(row));
+                    rowPtrs.push_back(rows.back().data());
+                }
+                std::vector<double> packed(m * simdPackWidth);
+                simdPackRows(rowPtrs.data(), live, m, packed.data());
+
+                const size_t outSize = m / 2 * simdPackWidth;
+                const double nan =
+                    std::numeric_limits<double>::quiet_NaN();
+                std::vector<double> approx(outSize, nan);
+                std::vector<double> detail(outSize, nan);
+                std::vector<double> refApprox(outSize, -nan);
+                std::vector<double> refDetail(outSize, -nan);
+                simdDwtStepPacked(packed.data(), m, low.data(),
+                                  high.data(), taps, approx.data(),
+                                  detail.data());
+                scalar_ref::dwtStepPacked(packed.data(), m, low.data(),
+                                          high.data(), taps,
+                                          refApprox.data(),
+                                          refDetail.data());
+                const std::string at = "taps=" + std::to_string(taps) +
+                                       " m=" + std::to_string(m) +
+                                       " live=" + std::to_string(live);
+                expectSameBits(approx.data(), refApprox.data(),
+                               outSize, "approx " + at);
+                expectSameBits(detail.data(), refDetail.data(),
+                               outSize, "detail " + at);
+            }
+        }
+    }
+}
+
 } // namespace
