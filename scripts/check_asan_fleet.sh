@@ -9,8 +9,9 @@
 # cross-shard extract/re-file during failover, parked-inject replay
 # buffers). Slot recycling makes use-after-retire the detailed
 # simulator's failure mode, so it also runs the single-node
-# simulator, robustness and fault-injection suites (test_sim,
-# test_robustness, test_fault_injection) and the detailed golden CLI
+# simulator suite (test_sim, labelled fleet), the robustness and
+# fault-injection suites (test_robustness, test_fault_injection) and
+# the detailed golden CLI
 # cases (fleet and single node, traces included). Last come the
 # population golden CLI cases, which drive tier deferral, harsh
 # chaos on four shards and population ARQ end to end through the
@@ -32,7 +33,7 @@ cmake --build "$build" \
     test_robustness test_fault_injection xpro_cli \
     -j "$(nproc)"
 ctest --test-dir "$build" -L 'fleet|chaos' --output-on-failure
-for suite in test_sim test_robustness test_fault_injection; do
+for suite in test_robustness test_fault_injection; do
     "$build/tests/$suite" --gtest_brief=1
 done
 ctest --test-dir "$build" \

@@ -3,7 +3,8 @@
 # and run the generator-facing suites under it: the persistent
 # flow network, the partitioner, the property-based generator oracle
 # tests, the ML suites (flat-matrix row views, batched kernels,
-# parallel ensemble training), the fault-injection suites (ARQ
+# on-demand Gram rows, parallel ensemble training), the
+# fault-injection suites (ARQ
 # callback-chain lifetimes), and the adaptive-controller suites
 # (long-lived flow network under repeated capacity updates),
 # and the serving hot-path suites (arena lifetimes, packed SV tiles,
@@ -33,7 +34,7 @@ cmake --build "$build" \
              test_controller test_hotpath_identity \
              test_simd_kernels test_simd_kernels_baseline \
              test_stats_registry test_data_synth test_random \
-             test_svm test_pipeline \
+             test_svm test_pipeline test_kernel test_matrix \
              test_dwt test_dwt_fixed test_features \
              test_features_fixed test_feature_pool \
     -j "$(nproc)"

@@ -31,7 +31,7 @@ cmake --build "$build" \
              test_fault_injection test_trace_export \
              test_hotpath_identity test_simd_kernels \
              test_simd_kernels_baseline test_stats_registry \
-             test_fleet_chaos \
+             test_fleet_chaos test_sim test_kernel test_matrix \
     -j "$(nproc)"
 ctest --test-dir "$build" \
     -L 'fleet|generator|ml|robust|hotpath|obs|chaos' \

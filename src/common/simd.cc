@@ -1,5 +1,6 @@
 #include "common/simd.hh"
 
+#include <functional>
 #include <limits>
 
 // On x86-64 GNU compilers every kernel is built twice, for AVX2 and
@@ -57,14 +58,6 @@ axpy(double *dst, const double *src, double c, size_t n)
         dst[i] += c * src[i];
 }
 
-void
-pairUpdate(double *error, const double *rowI, const double *rowJ,
-           double di, double dj, double db, size_t n)
-{
-    for (size_t k = 0; k < n; ++k)
-        error[k] += di * rowI[k] + dj * rowJ[k] + db;
-}
-
 size_t
 smoSelectUp(const double *error, const double *upOffset, size_t n,
             double *gmax)
@@ -80,6 +73,16 @@ smoSelectUp(const double *error, const double *upOffset, size_t n,
     }
     *gmax = best;
     return at;
+}
+
+size_t
+pairUpdateSelectUp(double *error, const double *rowI,
+                   const double *rowJ, double di, double dj,
+                   const double *upOffset, size_t n, double *gmax)
+{
+    for (size_t k = 0; k < n; ++k)
+        error[k] += di * rowI[k] + dj * rowJ[k];
+    return smoSelectUp(error, upOffset, n, gmax);
 }
 
 size_t
@@ -259,58 +262,132 @@ simdAxpy(double *dst, const double *src, double c, size_t n)
         dst[i] += c * src[i];
 }
 
-XPRO_SIMD_CLONES void
-simdPairUpdate(double *error, const double *rowI, const double *rowJ,
-               double di, double dj, double db, size_t n)
+namespace
 {
-    size_t k = 0;
-    for (; k + vecWidth <= n; k += vecWidth) {
-        *reinterpret_cast<V *>(error + k) +=
-            di * *reinterpret_cast<const V *>(rowI + k) +
-            dj * *reinterpret_cast<const V *>(rowJ + k) + db;
-    }
-    for (; k < n; ++k)
-        error[k] += di * rowI[k] + dj * rowJ[k] + db;
+
+// Index-tracked max and min over the lanes of two (best, index)
+// chains. Lanes compare strictly, so each keeps its earliest index;
+// the merge prefers the lowest index among equal values, and a
+// scalar tail past every lane's indices replaces only on a strictly
+// better value. The helpers are always inlined and take vectors by
+// reference, so each clone keeps its own ISA and no vector crosses a
+// call boundary by value.
+
+[[gnu::always_inline]] inline void
+keepMax(V &best, Mask &at, const V &v, const Mask &idx)
+{
+    const Mask better = v > best;
+    best = better ? v : best;
+    at = better ? idx : at;
 }
+
+/** Fold both chains' lanes to the best value under @p better (a
+ *  strict order) and the lowest index that reached it. */
+template <typename Better>
+[[gnu::always_inline]] inline size_t
+mergeLanes(const V (&best)[2], const Mask (&at)[2], Better better,
+           double *value)
+{
+    double top = best[0][0];
+    size_t pick = static_cast<size_t>(at[0][0]);
+    for (size_t c = 0; c < 2; ++c) {
+        for (size_t l = 0; l < vecWidth; ++l) {
+            const size_t lane_at = static_cast<size_t>(at[c][l]);
+            if (better(best[c][l], top) ||
+                (best[c][l] == top && lane_at < pick)) {
+                top = best[c][l];
+                pick = lane_at;
+            }
+        }
+    }
+    *value = top;
+    return pick;
+}
+
+[[gnu::always_inline]] inline const V &
+load(const double *p)
+{
+    return *reinterpret_cast<const V *>(p);
+}
+
+/** I_up chains: best upOffset - error so far, and where. */
+struct UpScan
+{
+    V best[2];
+    Mask at[2];
+    Mask idx[2] = {{0, 1, 2, 3}, {4, 5, 6, 7}};
+
+    [[gnu::always_inline]] explicit UpScan(size_t n)
+    {
+        const double inf = std::numeric_limits<double>::infinity();
+        best[0] = best[1] = V{-inf, -inf, -inf, -inf};
+        at[0] = at[1] = Mask{} + static_cast<long>(n);
+    }
+
+    /** Take the simdPackWidth elements from @p t, one half per
+     *  chain. */
+    [[gnu::always_inline]] void
+    step(const double *error, const double *upOffset, size_t t)
+    {
+        for (size_t c = 0; c < 2; ++c) {
+            const size_t k = t + c * vecWidth;
+            keepMax(best[c], at[c], load(upOffset + k) - load(error + k),
+                    idx[c]);
+            idx[c] += simdPackWidth;
+        }
+    }
+
+    /** Fold the chains and the scalar tail [t, n). */
+    [[gnu::always_inline]] size_t
+    finish(const double *error, const double *upOffset, size_t t,
+           size_t n, double *gmax)
+    {
+        double top;
+        size_t pick = mergeLanes(best, at, std::greater<>(), &top);
+        for (; t < n; ++t) {
+            const double v = upOffset[t] - error[t];
+            if (v > top) {
+                top = v;
+                pick = t;
+            }
+        }
+        *gmax = top;
+        return pick;
+    }
+};
+
+} // namespace
 
 XPRO_SIMD_CLONES size_t
 simdSmoSelectUp(const double *error, const double *upOffset, size_t n,
                 double *gmax)
 {
-    // Per lane: the best value so far and its index. A strict compare
-    // keeps each lane's earliest index; the lane merge then prefers
-    // the lowest index among equal values, and the scalar tail only
-    // replaces on a strictly larger value.
-    const double inf = std::numeric_limits<double>::infinity();
-    V best = {-inf, -inf, -inf, -inf};
-    Mask at = {}, idx = {0, 1, 2, 3};
-    at += static_cast<long>(n);
+    UpScan scan(n);
     size_t t = 0;
-    for (; t + vecWidth <= n; t += vecWidth, idx += vecWidth) {
-        const V v = *reinterpret_cast<const V *>(upOffset + t) -
-                    *reinterpret_cast<const V *>(error + t);
-        const Mask better = v > best;
-        best = better ? v : best;
-        at = better ? idx : at;
+    for (; t + simdPackWidth <= n; t += simdPackWidth)
+        scan.step(error, upOffset, t);
+    return scan.finish(error, upOffset, t, n, gmax);
+}
+
+XPRO_SIMD_CLONES size_t
+simdPairUpdateSelectUp(double *error, const double *rowI,
+                       const double *rowJ, double di, double dj,
+                       const double *upOffset, size_t n, double *gmax)
+{
+    UpScan scan(n);
+    const auto update = [&](size_t k) __attribute__((always_inline)) {
+        *reinterpret_cast<V *>(error + k) +=
+            di * load(rowI + k) + dj * load(rowJ + k);
+    };
+    size_t t = 0;
+    for (; t + simdPackWidth <= n; t += simdPackWidth) {
+        update(t);
+        update(t + vecWidth);
+        scan.step(error, upOffset, t);
     }
-    double top = -inf;
-    size_t pick = n;
-    for (size_t l = 0; l < vecWidth; ++l) {
-        const size_t lane_at = static_cast<size_t>(at[l]);
-        if (best[l] > top || (best[l] == top && lane_at < pick)) {
-            top = best[l];
-            pick = lane_at;
-        }
-    }
-    for (; t < n; ++t) {
-        const double v = upOffset[t] - error[t];
-        if (v > top) {
-            top = v;
-            pick = t;
-        }
-    }
-    *gmax = top;
-    return pick;
+    for (size_t k = t; k < n; ++k)
+        error[k] += di * rowI[k] + dj * rowJ[k];
+    return scan.finish(error, upOffset, t, n, gmax);
 }
 
 XPRO_SIMD_CLONES size_t
@@ -318,41 +395,43 @@ simdSmoSelectLow(const double *error, const double *lowOffset,
                  const double *rowI, const double *diag, double kii,
                  double gmax, double tau, size_t n, double *gmax2)
 {
-    // Same lane bookkeeping as simdSmoSelectUp, for a max (gmax2)
-    // and an index-tracked min (the objective) in one pass. Lanes
-    // with b <= 0, masked ones included, never win the min.
+    // The chains of simdSmoSelectUp, for a max (gmax2) and an
+    // index-tracked min (the objective) in one pass. Lanes with
+    // b <= 0, masked ones included, never win the min.
     const double inf = std::numeric_limits<double>::infinity();
-    V top = {-inf, -inf, -inf, -inf};
-    V best = {inf, inf, inf, inf};
-    Mask at = {}, idx = {0, 1, 2, 3};
-    at += static_cast<long>(n);
+    V top[2], best[2];
+    top[0] = top[1] = V{-inf, -inf, -inf, -inf};
+    best[0] = best[1] = V{inf, inf, inf, inf};
+    Mask at[2], idx[2] = {{0, 1, 2, 3}, {4, 5, 6, 7}};
+    at[0] = at[1] = Mask{} + static_cast<long>(n);
     const V zero = {};
-    size_t t = 0;
-    for (; t + vecWidth <= n; t += vecWidth, idx += vecWidth) {
-        const V v = *reinterpret_cast<const V *>(error + t) +
-                    *reinterpret_cast<const V *>(lowOffset + t);
-        top = v > top ? v : top;
+    const auto take = [&](size_t c, size_t k) __attribute__((always_inline)) {
+        const V v = load(error + k) + load(lowOffset + k);
+        top[c] = v > top[c] ? v : top[c];
         const V b = gmax + v;
-        V a = (kii + *reinterpret_cast<const V *>(diag + t)) -
-              2.0 * *reinterpret_cast<const V *>(rowI + t);
+        V a = (kii + load(diag + k)) - 2.0 * load(rowI + k);
         a = a < tau ? tau : a;
         const V objective = -(b * b) / a;
-        const Mask better = (b > zero) & (objective < best);
-        best = better ? objective : best;
-        at = better ? idx : at;
+        const Mask better = (b > zero) & (objective < best[c]);
+        best[c] = better ? objective : best[c];
+        at[c] = better ? idx[c] : at[c];
+    };
+    size_t t = 0;
+    for (; t + simdPackWidth <= n; t += simdPackWidth) {
+        take(0, t);
+        take(1, t + vecWidth);
+        idx[0] += simdPackWidth;
+        idx[1] += simdPackWidth;
     }
     double top_all = -inf;
-    double low = inf;
-    size_t pick = n;
-    for (size_t l = 0; l < vecWidth; ++l) {
-        if (top[l] > top_all)
-            top_all = top[l];
-        const size_t lane_at = static_cast<size_t>(at[l]);
-        if (best[l] < low || (best[l] == low && lane_at < pick)) {
-            low = best[l];
-            pick = lane_at;
+    for (size_t c = 0; c < 2; ++c) {
+        for (size_t l = 0; l < vecWidth; ++l) {
+            if (top[c][l] > top_all)
+                top_all = top[c][l];
         }
     }
+    double low;
+    size_t pick = mergeLanes(best, at, std::less<>(), &low);
     for (; t < n; ++t) {
         const double v = error[t] + lowOffset[t];
         if (v > top_all)

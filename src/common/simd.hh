@@ -50,16 +50,6 @@ void simdScale(double *dst, const double *src, double c, size_t n);
 /** dst[i] += c * src[i] for i in [0, n). */
 void simdAxpy(double *dst, const double *src, double c, size_t n);
 
-/**
- * SMO pair step's error update:
- * error[k] += di * rowI[k] + dj * rowJ[k] + db for k in [0, n),
- * associated exactly as written ((di*rowI + dj*rowJ) + db, then
- * added to error[k]), so every lane matches the scalar expression.
- */
-void simdPairUpdate(double *error, const double *rowI,
-                    const double *rowJ, double di, double dj, double db,
-                    size_t n);
-
 /*
  * SMO working-set selection (Fan, Chen & Lin 2005, as in LIBSVM).
  * error[t] is the bias-free training error; membership of the index
@@ -67,9 +57,12 @@ void simdPairUpdate(double *error, const double *rowI,
  * -inf otherwise, so a scan is one branch-free max or min over every
  * lane. These scans reduce across lanes, unlike the kernels above:
  * a max or min with its index is exact in any order once ties keep
- * the lowest index. Lanes use only exactly rounded operations (add,
- * subtract, multiply, divide, compare), so every clone picks the
- * same sample, and the same value, as scalar_ref.
+ * the lowest index. Each scan runs two independent (best, index)
+ * chains, one per half of every simdPackWidth-element step, so
+ * consecutive compare/blend pairs do not wait on each other. Lanes
+ * use only exactly rounded operations (add, subtract, multiply,
+ * divide, compare), so every clone picks the same sample, and the
+ * same value, as scalar_ref.
  */
 
 /**
@@ -79,6 +72,18 @@ void simdPairUpdate(double *error, const double *rowI,
  */
 size_t simdSmoSelectUp(const double *error, const double *upOffset,
                        size_t n, double *gmax);
+
+/**
+ * SMO pair step's error update fused with the next step's first
+ * index: error[k] += di * rowI[k] + dj * rowJ[k] for k in [0, n),
+ * associated exactly as written (the two products summed, then
+ * added to error[k]), followed by simdSmoSelectUp(error, upOffset,
+ * n, gmax) on the updated errors, in one pass over the arrays.
+ */
+size_t simdPairUpdateSelectUp(double *error, const double *rowI,
+                              const double *rowJ, double di, double dj,
+                              const double *upOffset, size_t n,
+                              double *gmax);
 
 /**
  * Second SMO index, fused with the stopping rule's max. With
@@ -209,10 +214,12 @@ double dot(const double *a, const double *b, size_t n);
 double squaredNorm(const double *a, size_t n);
 void scale(double *dst, const double *src, double c, size_t n);
 void axpy(double *dst, const double *src, double c, size_t n);
-void pairUpdate(double *error, const double *rowI, const double *rowJ,
-                double di, double dj, double db, size_t n);
 size_t smoSelectUp(const double *error, const double *upOffset,
                    size_t n, double *gmax);
+size_t pairUpdateSelectUp(double *error, const double *rowI,
+                          const double *rowJ, double di, double dj,
+                          const double *upOffset, size_t n,
+                          double *gmax);
 size_t smoSelectLow(const double *error, const double *lowOffset,
                     const double *rowI, const double *diag, double kii,
                     double gmax, double tau, size_t n, double *gmax2);

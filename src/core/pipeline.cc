@@ -2,7 +2,9 @@
 
 #include <algorithm>
 
+#include "common/arena.hh"
 #include "common/logging.hh"
+#include "common/simd.hh"
 
 namespace xpro
 {
@@ -56,20 +58,37 @@ trainPipeline(const SignalDataset &dataset, const EngineConfig &config,
     const Split split = trainingSplit(labels, options);
 
     // The full 48-feature pool of each segment the split names, one
-    // flat row-major matrix per side.
+    // flat row-major matrix per side, extracted simdPackWidth
+    // segments at a time (bit-identical to extractAll per segment).
+    DwtScratch scratch;
+    Arena arena;
     const auto gather = [&](const std::vector<size_t> &indices) {
         LabeledData out;
-        out.rows = FlatMatrix(0, featurePoolSize);
-        out.rows.reserve(indices.size());
+        out.rows = FlatMatrix(indices.size(), featurePoolSize);
         out.labels.reserve(indices.size());
-        for (size_t idx : indices) {
-            const Segment &segment = dataset.segments[idx];
-            xproAssert(!segment.samples.empty(),
-                       "segment %zu is read for training but was not "
-                       "synthesized", idx);
-            out.rows.push_back(
-                pipeline.extractor.extractAll(segment.samples));
-            out.labels.push_back(labels[idx]);
+        const double *pack[simdPackWidth];
+        for (size_t first = 0; first < indices.size();
+             first += simdPackWidth) {
+            const size_t count =
+                std::min(simdPackWidth, indices.size() - first);
+            for (size_t j = 0; j < count; ++j) {
+                const size_t idx = indices[first + j];
+                const Segment &segment = dataset.segments[idx];
+                xproAssert(!segment.samples.empty(),
+                           "segment %zu is read for training but was "
+                           "not synthesized", idx);
+                xproAssert(segment.samples.size() ==
+                               dataset.segmentLength,
+                           "segment %zu has %zu samples, not %zu", idx,
+                           segment.samples.size(),
+                           dataset.segmentLength);
+                pack[j] = segment.samples.data();
+                out.labels.push_back(labels[idx]);
+            }
+            arena.reset();
+            pipeline.extractor.extractAllPackedInto(
+                pack, count, dataset.segmentLength,
+                out.rows.rowData(first), scratch, arena);
         }
         return out;
     };
@@ -86,7 +105,7 @@ trainPipeline(const SignalDataset &dataset, const EngineConfig &config,
     subspace.seed = options.seed ^ 0xABCDEF;
     subspace.workers = options.mlWorkers;
     pipeline.ensemble = RandomSubspace::train(train, subspace);
-    pipeline.trainAccuracy = pipeline.ensemble.accuracy(train);
+    pipeline.trainAccuracy = pipeline.ensemble.trainingAccuracy();
     pipeline.testAccuracy =
         test.size() > 0 ? pipeline.ensemble.accuracy(test) : 0.0;
     pipeline.trainCount = train.size();

@@ -66,47 +66,80 @@ Kernel::gram(const FlatMatrix &a, const FlatMatrix &b) const
     return out;
 }
 
-FlatMatrix
-Kernel::gramSymmetric(const FlatMatrix &a) const
+void
+GramRows::bind(const Kernel &kernel, const FlatMatrix &a)
 {
-    const size_t n = a.size();
+    _kernel = kernel;
+    _a = &a;
+    _n = a.size();
     const size_t dims = a.cols();
-    FlatMatrix out(n, n, 0.0);
-    const std::vector<double> norms =
-        kind == KernelKind::Rbf ? a.rowSquaredNorms()
-                                : std::vector<double>();
-
-    // Fill the upper triangle, mirror the lower: half the kernel
-    // evaluations of the dense rectangular path. Column tiles of
-    // simdPackWidth rows go through the packed SIMD multi-dot
-    // kernel; lanes below the diagonal are computed but dropped
-    // (each retained dot still accumulates serially left-to-right,
-    // so values match the scalar schedule bitwise).
-    std::vector<double> packed(dims * simdPackWidth);
+    const size_t tiles = (_n + simdPackWidth - 1) / simdPackWidth;
+    _packed.resize(tiles * dims * simdPackWidth);
+    _norms.resize(tiles * simdPackWidth);
+    // The norms come from the packed tiles, rowSquaredNorms()'s
+    // schedule, so they equal the norms gram() and the trained
+    // model's support vectors use.
     const double *tileRows[simdPackWidth];
-    double lane[simdPackWidth];
-    for (size_t jb = 0; jb < n; jb += simdPackWidth) {
-        const size_t count = std::min(simdPackWidth, n - jb);
+    for (size_t first = 0; first < _n; first += simdPackWidth) {
+        const size_t count = std::min(simdPackWidth, _n - first);
         for (size_t j = 0; j < count; ++j)
-            tileRows[j] = a.rowData(jb + j);
-        simdPackRows(tileRows, count, dims, packed.data());
-        const size_t iEnd = std::min(jb + count, n);
-        for (size_t i = 0; i < iEnd; ++i) {
-            simdDotPacked(a.rowData(i), packed.data(), dims, lane);
-            double *oi = out.rowData(i);
-            const size_t jFirst = i > jb ? i - jb : 0;
-            for (size_t j = jFirst; j < count; ++j) {
-                const double value =
-                    kind == KernelKind::Rbf
-                        ? rbfFromParts(gamma, norms[i],
-                                       norms[jb + j], lane[j])
-                        : lane[j];
-                oi[jb + j] = value;
-                out.rowData(jb + j)[i] = value;
+            tileRows[j] = a.rowData(first + j);
+        double *tile = _packed.data() + first * dims;
+        simdPackRows(tileRows, count, dims, tile);
+        simdSquaredNormsPacked(tile, dims, _norms.data() + first);
+    }
+    // Grows only: a smaller Gram reuses the buffer without zeroing.
+    if (_rows.size() < _n * _n)
+        _rows.resize(_n * _n);
+    _built.assign(_n, 0);
+}
+
+const double *
+GramRows::row(size_t i)
+{
+    xproAssert(i < _n, "Gram row %zu of %zu", i, _n);
+    double *out = _rows.data() + i * _n;
+    if (_built[i])
+        return out;
+
+    // K is symmetric: an entry whose other row exists is a copy. A
+    // tile of still-missing rows costs one packed multi-dot.
+    const size_t dims = _a->cols();
+    const double *x = _a->rowData(i);
+    double lane[simdPackWidth];
+    for (size_t first = 0; first < _n; first += simdPackWidth) {
+        const size_t count = std::min(simdPackWidth, _n - first);
+        const char *built = _built.data() + first;
+        if (std::find(built, built + count, 0) != built + count) {
+            simdDotPacked(x, _packed.data() + first * dims, dims,
+                          lane);
+        }
+        for (size_t j = 0; j < count; ++j) {
+            const size_t k = first + j;
+            if (built[j]) {
+                out[k] = _rows[k * _n + i];
+            } else {
+                out[k] = _kernel.kind == KernelKind::Rbf
+                             ? rbfFromParts(_kernel.gamma, _norms[i],
+                                            _norms[k], lane[j])
+                             : lane[j];
             }
         }
     }
+    _built[i] = 1;
     return out;
+}
+
+double
+GramRows::diagonal(size_t i) const
+{
+    xproAssert(i < _n, "Gram row %zu of %zu", i, _n);
+    // a_i.a_i and |a_i|^2 accumulate the same products in the same
+    // order, so this is the entry row(i) would hold.
+    return _kernel.kind == KernelKind::Rbf
+               ? rbfFromParts(_kernel.gamma, _norms[i], _norms[i],
+                              _norms[i])
+               : _norms[i];
 }
 
 std::string

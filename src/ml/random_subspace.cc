@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <mutex>
 #include <set>
 
 #include "common/logging.hh"
@@ -11,6 +13,55 @@
 
 namespace xpro
 {
+
+namespace
+{
+
+/** A trained candidate and its +-1 vote on every training row. */
+struct Candidate
+{
+    BaseClassifier base;
+    std::vector<signed char> votes;
+};
+
+signed char
+vote(double decision)
+{
+    return decision >= 0.0 ? 1 : -1;
+}
+
+/**
+ * Gram row buffers for one ensemble training, one per candidate in
+ * flight: a finished candidate hands its buffer to the next, and
+ * every buffer is freed with the pool.
+ */
+class GramPool
+{
+  public:
+    std::unique_ptr<GramRows>
+    take()
+    {
+        const std::lock_guard<std::mutex> lock(_mutex);
+        if (_spare.empty())
+            return std::make_unique<GramRows>();
+        std::unique_ptr<GramRows> rows = std::move(_spare.back());
+        _spare.pop_back();
+        return rows;
+    }
+
+    void
+    give(std::unique_ptr<GramRows> rows)
+    {
+        const std::lock_guard<std::mutex> lock(_mutex);
+        _spare.push_back(std::move(rows));
+    }
+
+  private:
+    std::mutex _mutex;
+    std::vector<std::unique_ptr<GramRows>> _spare;
+};
+
+} // namespace
 
 std::vector<double>
 RandomSubspace::project(RowView full_row,
@@ -76,32 +127,47 @@ RandomSubspace::train(const LabeledData &data,
 
     // Fan the candidate trainings out over the pool; slot c of the
     // result is always candidate c, so the outcome is identical for
-    // any worker count.
+    // any worker count. Each candidate also keeps its +-1 vote on
+    // every training row: the fit rows' from the decisions training
+    // returns, the validation rows' from its validation pass.
+    GramPool grams;
     WorkerPool workers(resolveWorkerCount(config.workers));
-    std::vector<BaseClassifier> candidates =
-        workers.map<BaseClassifier>(
-            config.candidates, [&](size_t c) {
-                BaseClassifier base;
-                base.featureIndices = subspaces[c];
+    std::vector<Candidate> candidates = workers.map<Candidate>(
+        config.candidates, [&](size_t c) {
+            Candidate out;
+            BaseClassifier &base = out.base;
+            base.featureIndices = subspaces[c];
+            out.votes.resize(data.size());
 
-                LabeledData projected;
-                projected.labels = fit_set.labels;
-                projected.rows =
-                    projectRows(fit_set.rows, base.featureIndices);
-                base.model = Svm::train(projected, config.svm);
+            LabeledData projected;
+            projected.labels = fit_set.labels;
+            projected.rows =
+                projectRows(fit_set.rows, base.featureIndices);
+            std::vector<double> decisions;
+            std::unique_ptr<GramRows> gram = grams.take();
+            base.model =
+                Svm::train(projected, config.svm, &decisions, gram.get());
+            grams.give(std::move(gram));
+            for (size_t r = 0; r < decisions.size(); ++r)
+                out.votes[split.trainIndices[r]] = vote(decisions[r]);
 
-                if (val_set.size() > 0) {
-                    LabeledData val_projected;
-                    val_projected.labels = val_set.labels;
-                    val_projected.rows = projectRows(
-                        val_set.rows, base.featureIndices);
-                    base.validationAccuracy =
-                        base.model.accuracy(val_projected);
-                } else {
-                    base.validationAccuracy = 0.5;
+            if (val_set.size() > 0) {
+                decisions = base.model.decisionBatch(
+                    projectRows(val_set.rows, base.featureIndices));
+                size_t correct = 0;
+                for (size_t r = 0; r < decisions.size(); ++r) {
+                    const signed char v = vote(decisions[r]);
+                    out.votes[split.testIndices[r]] = v;
+                    correct += v == val_set.labels[r];
                 }
-                return base;
-            });
+                base.validationAccuracy =
+                    static_cast<double>(correct) /
+                    static_cast<double>(val_set.size());
+            } else {
+                base.validationAccuracy = 0.5;
+            }
+            return out;
+        });
 
     // Keep the top fraction by validation accuracy.
     const size_t keep = std::max<size_t>(
@@ -109,28 +175,22 @@ RandomSubspace::train(const LabeledData &data,
                config.keepFraction *
                static_cast<double>(config.candidates))));
     std::stable_sort(candidates.begin(), candidates.end(),
-                     [](const BaseClassifier &a, const BaseClassifier &b) {
-                         return a.validationAccuracy >
-                                b.validationAccuracy;
+                     [](const Candidate &a, const Candidate &b) {
+                         return a.base.validationAccuracy >
+                                b.base.validationAccuracy;
                      });
     candidates.resize(std::min(keep, candidates.size()));
 
-    RandomSubspace ensemble;
-    ensemble._bases = std::move(candidates);
-
     // Least-squares voting weights: regress the +-1 label on the
     // base decision signs over the whole training set (weighted
-    // voting trained by least squares, paper Section 4.4). Votes
-    // come from the batched inference path, one column per base.
-    const size_t members = ensemble._bases.size();
+    // voting trained by least squares, paper Section 4.4), one
+    // column of kept votes per base.
+    const size_t members = candidates.size();
     Matrix design(data.size(), members + 1);
     Matrix target(data.size(), 1);
     for (size_t m = 0; m < members; ++m) {
-        const BaseClassifier &base = ensemble._bases[m];
-        const std::vector<int> votes = base.model.predictBatch(
-            projectRows(data.rows, base.featureIndices));
         for (size_t i = 0; i < data.size(); ++i)
-            design(i, m) = static_cast<double>(votes[i]);
+            design(i, m) = candidates[m].votes[i];
     }
     for (size_t i = 0; i < data.size(); ++i) {
         design(i, members) = 1.0; // bias column
@@ -138,10 +198,29 @@ RandomSubspace::train(const LabeledData &data,
     }
     const Matrix weights =
         Matrix::leastSquares(design, target, config.fusionRidge);
+
+    RandomSubspace ensemble;
     ensemble._weights.resize(members);
     for (size_t m = 0; m < members; ++m)
         ensemble._weights[m] = weights(m, 0);
     ensemble._weightBias = weights(members, 0);
+
+    // Training accuracy from the same votes, summed in scoreBatch()'s
+    // order, so it equals accuracy(data).
+    size_t correct = 0;
+    for (size_t i = 0; i < data.size(); ++i) {
+        double score = ensemble._weightBias;
+        for (size_t m = 0; m < members; ++m)
+            score += ensemble._weights[m] *
+                     static_cast<double>(candidates[m].votes[i]);
+        correct += (score >= 0.0 ? 1 : -1) == data.labels[i];
+    }
+    ensemble._trainingAccuracy = static_cast<double>(correct) /
+                                 static_cast<double>(data.size());
+
+    ensemble._bases.reserve(members);
+    for (Candidate &candidate : candidates)
+        ensemble._bases.push_back(std::move(candidate.base));
     return ensemble;
 }
 

@@ -95,6 +95,12 @@ class RandomSubspace
     /** Bias term of the least-squares voting combiner. */
     double fusionBias() const { return _weightBias; }
 
+    /**
+     * accuracy() on the rows the ensemble was trained on, found at
+     * training time from the members' votes already cast there.
+     */
+    double trainingAccuracy() const { return _trainingAccuracy; }
+
     /** Union of feature-pool indices used by surviving bases. */
     std::vector<size_t> usedFeatureIndices() const;
 
@@ -111,6 +117,7 @@ class RandomSubspace
     std::vector<BaseClassifier> _bases;
     std::vector<double> _weights;
     double _weightBias = 0.0;
+    double _trainingAccuracy = 0.0;
 };
 
 } // namespace xpro

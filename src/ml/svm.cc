@@ -47,13 +47,12 @@ constexpr double infinity = std::numeric_limits<double>::infinity();
 } // namespace
 
 SmoSolution
-solveSmo(const FlatMatrix &gram, const std::vector<int> &labels,
-         double c, double tolerance)
+solveSmo(GramRows &gram, const std::vector<int> &labels, double c,
+         double tolerance)
 {
     const size_t n = labels.size();
-    xproAssert(gram.size() == n && gram.cols() == n,
-               "Gram is %zux%zu for %zu samples", gram.size(),
-               gram.cols(), n);
+    xproAssert(gram.size() == n, "Gram has %zu rows for %zu samples",
+               gram.size(), n);
     xproAssert(c > 0.0, "soft-margin penalty must be positive");
 
     // error[t] = sum_s alpha_s y_s K_ts - y_t, the decision value
@@ -74,18 +73,15 @@ solveSmo(const FlatMatrix &gram, const std::vector<int> &labels,
     };
     for (size_t t = 0; t < n; ++t) {
         error[t] = -static_cast<double>(labels[t]);
-        diag[t] = gram.rowData(t)[t];
+        diag[t] = gram.diagonal(t);
         refresh_sets(t);
     }
 
     const size_t max_steps = maxStepsPerSample * n;
-    for (;;) {
-        double gmax, gmax2;
-        const size_t i =
-            simdSmoSelectUp(error.data(), up.data(), n, &gmax);
-        if (i == n)
-            break;
-        const double *row_i = gram.rowData(i);
+    double gmax, gmax2;
+    size_t i = simdSmoSelectUp(error.data(), up.data(), n, &gmax);
+    while (i < n) {
+        const double *row_i = gram.row(i);
         const size_t j = simdSmoSelectLow(error.data(), low.data(),
                                           row_i, diag.data(), diag[i],
                                           gmax, minCurvature, n, &gmax2);
@@ -109,10 +105,12 @@ solveSmo(const FlatMatrix &gram, const std::vector<int> &labels,
                                     : alpha[i] + labels[i] * lambda;
         alpha[j] = lambda == room_j ? (labels[j] > 0 ? 0.0 : c)
                                     : alpha[j] - labels[j] * lambda;
-        simdPairUpdate(error.data(), row_i, gram.rowData(j), lambda,
-                       -lambda, 0.0, n);
+        // The sets first: the fused update scans I_up for the next
+        // step's i.
         refresh_sets(i);
         refresh_sets(j);
+        i = simdPairUpdateSelectUp(error.data(), row_i, gram.row(j),
+                                   lambda, -lambda, up.data(), n, &gmax);
         ++out.steps;
     }
 
@@ -145,7 +143,8 @@ solveSmo(const FlatMatrix &gram, const std::vector<int> &labels,
 }
 
 Svm
-Svm::train(const LabeledData &data, const SvmConfig &config)
+Svm::train(const LabeledData &data, const SvmConfig &config,
+           std::vector<double> *fit_decisions, GramRows *rows)
 {
     const size_t n = data.size();
     xproAssert(n >= 2, "SVM training needs at least two samples");
@@ -161,11 +160,12 @@ Svm::train(const LabeledData &data, const SvmConfig &config)
     if (!has_pos || !has_neg)
         fatal("SVM training data must contain both classes");
 
-    // One batched pass builds the full training Gram (upper triangle
-    // evaluated, lower mirrored); the solver never calls the kernel.
+    // The solver builds only the Gram rows it reads.
+    GramRows local;
+    GramRows &gram = rows ? *rows : local;
+    gram.bind(config.kernel, data.rows);
     const SmoSolution solution =
-        solveSmo(config.kernel.gramSymmetric(data.rows), data.labels,
-                 config.c, config.tolerance);
+        solveSmo(gram, data.labels, config.c, config.tolerance);
 
     const SvmStatIds &ids = svmStatIds();
     StatsRegistry &reg = StatsRegistry::instance();
@@ -177,14 +177,31 @@ Svm::train(const LabeledData &data, const SvmConfig &config)
     model._kernel = config.kernel;
     model._bias = solution.bias;
     model._dimension = data.dimension();
+    std::vector<size_t> sv_rows;
     for (size_t i = 0; i < n; ++i) {
         const double alpha = solution.alpha[i];
         if (alpha > 1e-9) {
+            sv_rows.push_back(i);
             model._supportVectors.push_back(data.rows[i]);
             model._weights.push_back(alpha * data.labels[i]);
         }
     }
     model._svNorms = model._supportVectors.rowSquaredNorms();
+
+    // decisionBatch()'s sum over the support vectors, with
+    // K(t, sv) read from the support vector's row: equal to the
+    // kernel block decisionBatch() would evaluate.
+    if (fit_decisions) {
+        fit_decisions->assign(n, model._bias);
+        for (size_t k = 0; k < sv_rows.size(); ++k) {
+            xproAssert(gram.built(sv_rows[k]),
+                       "support vector %zu has no Gram row", sv_rows[k]);
+            const double *row = gram.row(sv_rows[k]);
+            const double weight = model._weights[k];
+            for (size_t t = 0; t < n; ++t)
+                (*fit_decisions)[t] += weight * row[t];
+        }
+    }
     // Degenerate but possible on separable data with loose
     // tolerances: keep the model usable as a constant classifier.
     if (model._supportVectors.empty())

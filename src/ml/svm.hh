@@ -6,12 +6,14 @@
  * vectors of a trained model drives the hardware cost of its SVM
  * functional cell.
  *
- * The hot path is batch-first: training consumes one symmetric Gram
- * matrix built in a single blocked pass, and the SMO solver runs on a
- * cached error vector (no kernel evaluations inside the loop). It
- * picks each pair by second-order working-set selection (Fan, Chen &
- * Lin, JMLR 2005, as in LIBSVM) and stops when the maximal violating
- * pair's gap is below the tolerance. Inference over a whole dataset
+ * The hot path is batch-first: the SMO solver runs on a cached error
+ * vector and reads Gram rows from GramRows, which builds a row the
+ * first time a pair step picks its sample. It picks each pair by
+ * second-order working-set selection (Fan, Chen & Lin, JMLR 2005, as
+ * in LIBSVM) and stops when the maximal violating pair's gap is
+ * below the tolerance. Every support vector's row exists by then, so
+ * training also yields the decision values of its own rows without
+ * evaluating the kernel again. Inference over a whole dataset
  * goes through decisionBatch(), which evaluates the
  * test-by-support-vector kernel block with the same batched Gram
  * builder. Per-sample decision() shares the exact floating-point
@@ -64,15 +66,16 @@ struct SmoSolution
 };
 
 /**
- * The solver behind Svm::train, on a precomputed symmetric Gram
- * matrix: minimise the SVM dual over alpha in [0, c] with
+ * The solver behind Svm::train, on the training Gram's rows:
+ * minimise the SVM dual over alpha in [0, c] with
  * sum_t alpha_t y_t = 0 until the maximal violating pair's gap is
- * below @p tolerance. Exposed so tests can check the stopping rule
- * against the multipliers.
+ * below @p tolerance. Builds the rows of the samples its pair steps
+ * pick, so every sample with alpha > 0 has its row built on return.
+ * Exposed so tests can check the stopping rule against the
+ * multipliers.
  */
-SmoSolution solveSmo(const FlatMatrix &gram,
-                     const std::vector<int> &labels, double c,
-                     double tolerance);
+SmoSolution solveSmo(GramRows &gram, const std::vector<int> &labels,
+                     double c, double tolerance);
 
 /** A trained binary SVM. */
 class Svm
@@ -80,9 +83,16 @@ class Svm
   public:
     /**
      * Train on @p data with labels in {-1, +1}. The data must
-     * contain both classes.
+     * contain both classes. When @p fit_decisions is given it
+     * receives decision() of every training row, bit-identical to
+     * decisionBatch(data.rows) and read from the Gram rows the
+     * solver built. The rows live in @p gram when given, so a caller
+     * training many models reuses one row buffer; otherwise in a
+     * local one.
      */
-    static Svm train(const LabeledData &data, const SvmConfig &config);
+    static Svm train(const LabeledData &data, const SvmConfig &config,
+                     std::vector<double> *fit_decisions = nullptr,
+                     GramRows *gram = nullptr);
 
     /** Signed decision value; positive means class +1. */
     double decision(RowView x) const;

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -272,22 +273,46 @@ TEST(KernelIdentityTest, LinearGramMatchesScalarDots)
     }
 }
 
-TEST(KernelIdentityTest, GramSymmetricMatchesGramExactly)
+TEST(KernelIdentityTest, GramRowsMatchGramExactly)
 {
+    // One GramRows across every bind, largest first, so smaller Grams
+    // run on a buffer holding stale rows. Rows are requested in a
+    // random order, some twice; each data set has a duplicated row
+    // and an all-zero row.
     Rng rng(40622);
-    Kernel kernel;
-    kernel.kind = KernelKind::Rbf;
-    kernel.gamma = 1.1;
-    for (size_t rows : {1u, 3u, 8u, 9u, 17u, 24u}) {
-        const FlatMatrix a = randomMatrix(rng, rows, 11);
-        const FlatMatrix full = kernel.gram(a, a);
-        const FlatMatrix sym = kernel.gramSymmetric(a);
-        ASSERT_EQ(sym.size(), rows);
-        for (size_t i = 0; i < rows; ++i) {
-            EXPECT_EQ(0, std::memcmp(sym.rowData(i),
-                                     full.rowData(i),
-                                     rows * sizeof(double)))
-                << "rows=" << rows << " i=" << i;
+    GramRows rows;
+    for (KernelKind kind : {KernelKind::Rbf, KernelKind::Linear}) {
+        const Kernel kernel{kind, 1.1};
+        for (size_t n : {200u, 1u, 7u, 8u, 9u}) {
+            FlatMatrix a = randomMatrix(rng, n, 11);
+            if (n > 2) {
+                std::copy_n(a.rowData(1), 11, a.rowData(n - 1));
+                std::fill_n(a.rowData(n / 2), 11, 0.0);
+            }
+            const FlatMatrix full = kernel.gram(a, a);
+            rows.bind(kernel, a);
+            ASSERT_EQ(rows.size(), n);
+
+            std::vector<size_t> order(n);
+            for (size_t i = 0; i < n; ++i)
+                order[i] = i;
+            rng.shuffle(order);
+            for (size_t r = 0; r < n / 3; ++r)
+                order.push_back(order[rng.below(n)]);
+            const std::string what = kernel.name() +
+                                     " n=" + std::to_string(n);
+            for (size_t i : order) {
+                EXPECT_EQ(0, std::memcmp(rows.row(i), full.rowData(i),
+                                         n * sizeof(double)))
+                    << what << " i=" << i;
+                EXPECT_TRUE(rows.built(i)) << what;
+            }
+            for (size_t i = 0; i < n; ++i) {
+                const double diag = rows.diagonal(i);
+                EXPECT_EQ(0, std::memcmp(&diag, full.rowData(i) + i,
+                                         sizeof(double)))
+                    << what << " diagonal " << i;
+            }
         }
     }
 }

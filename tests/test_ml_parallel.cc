@@ -102,26 +102,6 @@ TEST(BatchKernelTest, GramMatchesPairwiseLinear)
             EXPECT_NEAR(gram[i][j], kernel(a.row(i), b.row(j)), 1e-12);
 }
 
-TEST(BatchKernelTest, SymmetricGramMatchesRectangular)
-{
-    Rng rng(13);
-    const FlatMatrix a = randomMatrix(rng, 21, 6);
-    const Kernel kernel{KernelKind::Rbf, 0.8};
-
-    const FlatMatrix full = kernel.gram(a, a);
-    const FlatMatrix sym = kernel.gramSymmetric(a);
-    ASSERT_EQ(sym.size(), a.size());
-    ASSERT_EQ(sym.cols(), a.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-        for (size_t j = 0; j < a.size(); ++j) {
-            EXPECT_NEAR(sym[i][j], full[i][j], 1e-12);
-            // Mirrored fill must be exactly symmetric, not just
-            // numerically close.
-            EXPECT_EQ(sym[i][j], sym[j][i]);
-        }
-    }
-}
-
 TEST(BatchInferenceTest, SvmDecisionBatchMatchesPerSample)
 {
     Rng rng(21);

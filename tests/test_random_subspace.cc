@@ -181,6 +181,23 @@ TEST(RandomSubspaceTest, EnsembleBeatsWorstBase)
     EXPECT_GE(ensemble.accuracy(test) + 1e-9, worst_base);
 }
 
+TEST(RandomSubspaceTest, TrainingAccuracyMatchesAccuracyOnTrainingRows)
+{
+    // Pure-noise pools, so the ensemble misclassifies some training
+    // rows and the accuracy is not trivially 1.
+    for (uint64_t seed : {17u, 19u, 23u}) {
+        Rng rng(410 + seed);
+        const LabeledData train = poolData(rng, 90, 16, {});
+        RandomSubspaceConfig config = smallConfig(seed);
+        config.subspaceDimension = 3;
+        const RandomSubspace ensemble =
+            RandomSubspace::train(train, config);
+        EXPECT_EQ(ensemble.trainingAccuracy(), ensemble.accuracy(train))
+            << "seed " << seed;
+        EXPECT_LT(ensemble.trainingAccuracy(), 1.0) << "seed " << seed;
+    }
+}
+
 TEST(RandomSubspaceTest, SubspaceLargerThanPoolPanics)
 {
     Rng rng(417);

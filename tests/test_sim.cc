@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
+#include <vector>
+
 #include "alloc_count.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
@@ -66,6 +70,53 @@ TEST(EventQueueTest, HandlersMayScheduleMoreEvents)
     });
     EXPECT_EQ(fired, 2);
     EXPECT_DOUBLE_EQ(queue.now().ms(), 2.0);
+}
+
+TEST(EventQueueTest, PopsInTimeThenSequenceOrderAgainstSortedReference)
+{
+    // Times on a coarse grid, so most items tie on time with others;
+    // handlers post more items (some at the current time, some under
+    // a sequence set aside earlier) while the queue drains. The
+    // reference is an ordered set of (time, sequence).
+    Rng rng(1299);
+    EventQueue queue;
+    std::set<std::pair<double, uint64_t>> pending;
+    uint64_t next_sequence = 0;
+    const auto post = [&](Time at) {
+        pending.insert({at.sec(), next_sequence});
+        queue.schedule(at, 0, next_sequence++);
+    };
+    std::vector<uint64_t> reserved;
+    for (int i = 0; i < 300; ++i)
+        post(Time::millis(static_cast<double>(rng.below(20))));
+
+    size_t popped = 0;
+    queue.runAll(kQueueCap, [&](uint32_t, uint64_t data) {
+        ASSERT_FALSE(pending.empty());
+        EXPECT_EQ(data, pending.begin()->second) << "pop " << popped;
+        EXPECT_EQ(queue.now().sec(), pending.begin()->first);
+        pending.erase(pending.begin());
+        ++popped;
+        if (popped > 6000)
+            return;
+        for (uint64_t k = rng.below(4); k > 0; --k) {
+            post(queue.now() +
+                 Time::millis(static_cast<double>(rng.below(3))));
+        }
+        if (rng.below(5) == 0) {
+            reserved.push_back(queue.reserveSequences(1));
+            next_sequence = reserved.back() + 1;
+        } else if (!reserved.empty()) {
+            const uint64_t sequence = reserved.back();
+            reserved.pop_back();
+            const Time at = queue.now() +
+                            Time::millis(static_cast<double>(rng.below(2)));
+            pending.insert({at.sec(), sequence});
+            queue.scheduleReserved(at, sequence, 0, sequence);
+        }
+    });
+    EXPECT_TRUE(pending.empty());
+    EXPECT_GT(popped, 6000u);
 }
 
 TEST(EventQueueTest, SchedulingIntoThePastPanics)

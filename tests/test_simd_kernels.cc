@@ -85,32 +85,6 @@ TEST(SimdKernelTest, AxpyMatchesScalarReferenceExactly)
     }
 }
 
-TEST(SimdKernelTest, PairUpdateMatchesScalarReferenceExactly)
-{
-    Rng rng(40603);
-    for (size_t n : {0u, 1u, 3u, 4u, 5u, 7u, 8u, 9u, 200u}) {
-        const std::vector<double> row_i = randomVector(rng, n);
-        const std::vector<double> row_j = randomVector(rng, n);
-        const std::vector<double> base = randomVector(rng, n);
-        const double di = rng.uniform(-3.0, 3.0);
-        const double dj = rng.uniform(-3.0, 3.0);
-        const double db = rng.uniform(-0.1, 0.1);
-        std::vector<double> simd = base, scalar = base;
-        simdPairUpdate(simd.data(), row_i.data(), row_j.data(), di, dj,
-                       db, n);
-        scalar_ref::pairUpdate(scalar.data(), row_i.data(),
-                               row_j.data(), di, dj, db, n);
-        expectSameBits(simd.data(), scalar.data(), n,
-                       "n=" + std::to_string(n));
-        // The association SMO's error update has always used.
-        std::vector<double> inline_loop = base;
-        for (size_t k = 0; k < n; ++k)
-            inline_loop[k] += di * row_i[k] + dj * row_j[k] + db;
-        expectSameBits(scalar.data(), inline_loop.data(), n,
-                       "ref n=" + std::to_string(n));
-    }
-}
-
 /** Values in {-1, 0, 1}, so extrema repeat within and across lanes. */
 std::vector<double>
 tiedVector(Rng &rng, size_t n)
@@ -139,7 +113,11 @@ TEST(SimdKernelTest, SmoSelectionScansMatchScalarReferenceExactly)
     // with mixed membership, tied values with every sample a member,
     // and no members at all.
     Rng rng(40607);
-    for (size_t n : {0u, 1u, 3u, 4u, 5u, 7u, 8u, 9u, 200u}) {
+    std::vector<size_t> lengths(38);
+    for (size_t n = 0; n < lengths.size(); ++n)
+        lengths[n] = n;
+    lengths.push_back(200);
+    for (size_t n : lengths) {
         for (int variant = 0; variant < 4; ++variant) {
             const std::string what = "n=" + std::to_string(n) +
                                      " variant " +
@@ -210,11 +188,83 @@ TEST(SimdKernelTest, SmoSelectionScansMatchScalarReferenceExactly)
     }
 }
 
+TEST(SimdKernelTest, PairUpdateSelectUpMatchesScalarReferenceExactly)
+{
+    // Every length up to 37 covers each scalar tail (0-7 elements)
+    // after zero to four 8-element steps of the two chains. Variants:
+    // random values with mixed membership, tied values with every
+    // sample a member, and no members at all.
+    Rng rng(40608);
+    for (size_t n = 0; n <= 37; ++n) {
+        for (int variant = 0; variant < 3; ++variant) {
+            const std::string what = "n=" + std::to_string(n) +
+                                     " variant " +
+                                     std::to_string(variant);
+            const bool tied = variant == 1;
+            const double share =
+                variant == 0 ? 0.6 : (variant == 1 ? 1.0 : 0.0);
+            const auto values = [&] {
+                return tied ? tiedVector(rng, n) : randomVector(rng, n);
+            };
+            const std::vector<double> base = values();
+            const std::vector<double> row_i = values();
+            const std::vector<double> row_j = values();
+            const std::vector<double> up =
+                membershipOffsets(rng, n, share);
+            // A zero step in the tied variant keeps the errors tied.
+            const double di = tied ? 0.0 : rng.uniform(-3.0, 3.0);
+            const double dj = tied ? 0.0 : rng.uniform(-3.0, 3.0);
+
+            std::vector<double> simd = base, scalar = base;
+            double gmax_simd = 0.0, gmax_ref = 0.0;
+            const size_t i_simd = simdPairUpdateSelectUp(
+                simd.data(), row_i.data(), row_j.data(), di, dj,
+                up.data(), n, &gmax_simd);
+            const size_t i_ref = scalar_ref::pairUpdateSelectUp(
+                scalar.data(), row_i.data(), row_j.data(), di, dj,
+                up.data(), n, &gmax_ref);
+            expectSameBits(simd.data(), scalar.data(), n, what);
+            EXPECT_EQ(i_simd, i_ref) << what;
+            expectSameBits(&gmax_simd, &gmax_ref, 1, what + " gmax");
+
+            // The reference is the SMO error update the solver has
+            // always used, then the plain I_up scan.
+            std::vector<double> inline_loop = base;
+            for (size_t k = 0; k < n; ++k)
+                inline_loop[k] += di * row_i[k] + dj * row_j[k];
+            expectSameBits(scalar.data(), inline_loop.data(), n,
+                           what + " ref");
+            double gmax_scan = 0.0;
+            EXPECT_EQ(i_ref, scalar_ref::smoSelectUp(inline_loop.data(),
+                                                     up.data(), n,
+                                                     &gmax_scan))
+                << what;
+            expectSameBits(&gmax_ref, &gmax_scan, 1, what + " scan");
+            if (tied && n > 0) {
+                // Every error in {-1, 0, 1}: the first sample at the
+                // maximum wins, whichever chain and lane it sits in.
+                size_t first = 0;
+                for (size_t t = 1; t < n; ++t) {
+                    if (-base[t] > -base[first])
+                        first = t;
+                }
+                EXPECT_EQ(i_simd, first) << what;
+            }
+            if (share == 0.0) {
+                EXPECT_EQ(i_simd, n) << what;
+                EXPECT_EQ(gmax_simd,
+                          -std::numeric_limits<double>::infinity())
+                    << what;
+            }
+        }
+    }
+}
+
 TEST(SimdKernelTest, SmoSelectionScansKeepTheLowestIndexOnTies)
 {
     // Every sample equal: both scans must pick sample 0, whichever
     // lane it sits in, at lengths with and without a scalar tail.
-    for (size_t n : {1u, 4u, 5u, 9u, 200u}) {
+    for (size_t n : {1u, 4u, 5u, 9u, 12u, 13u, 17u, 200u}) {
         const std::vector<double> error(n, -1.0), zero(n, 0.0),
             row_i(n, 0.25), diag(n, 1.0);
         double gmax = 0.0, gmax2 = 0.0;

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <limits>
 #include <vector>
@@ -183,6 +184,38 @@ TEST(SvmTest, DeterministicTraining)
     EXPECT_DOUBLE_EQ(a.bias(), b.bias());
 }
 
+/**
+ * The decision values training returns for its own rows are
+ * decisionBatch() on those rows, bit for bit, for both kernels and
+ * across the C sweep (few to many bounded multipliers).
+ */
+TEST(SvmTest, FitDecisionsMatchDecisionBatchExactly)
+{
+    Rng rng(221);
+    for (KernelKind kind : {KernelKind::Rbf, KernelKind::Linear}) {
+        for (double c : {0.1, 1.0, 10.0}) {
+            LabeledData data = linearlySeparable(rng, 40, 0.6);
+            // A duplicated sample and an all-zero one.
+            data.rows.push_back(data.rows[3]);
+            data.labels.push_back(data.labels[3]);
+            data.rows.push_back(std::vector<double>{0.0, 0.0});
+            data.labels.push_back(-1);
+            SvmConfig config;
+            config.kernel = {kind, 0.7};
+            config.c = c;
+            std::vector<double> fit;
+            const Svm model = Svm::train(data, config, &fit);
+            const std::vector<double> batch =
+                model.decisionBatch(data.rows);
+            ASSERT_EQ(fit.size(), data.size());
+            ASSERT_GT(model.supportVectorCount(), 0u);
+            EXPECT_EQ(0, std::memcmp(fit.data(), batch.data(),
+                                     fit.size() * sizeof(double)))
+                << config.kernel.name() << " C=" << c;
+        }
+    }
+}
+
 /** Accuracy should hold across the C sweep on separable data. */
 class SvmRegularizationTest : public ::testing::TestWithParam<double>
 {
@@ -208,16 +241,17 @@ INSTANTIATE_TEST_SUITE_P(CSweep, SvmRegularizationTest,
  * E_t = sum_s alpha_s y_s K_ts - y_t.
  */
 double
-maxViolatingPairGap(const FlatMatrix &gram, const std::vector<int> &y,
+maxViolatingPairGap(GramRows &gram, const std::vector<int> &y,
                     const std::vector<double> &alpha, double c)
 {
     const double inf = std::numeric_limits<double>::infinity();
     double up = -inf;
     double low = -inf;
     for (size_t t = 0; t < y.size(); ++t) {
+        const double *row = gram.row(t);
         double e = -static_cast<double>(y[t]);
         for (size_t s = 0; s < y.size(); ++s)
-            e += alpha[s] * y[s] * gram.rowData(t)[s];
+            e += alpha[s] * y[s] * row[s];
         const bool positive = y[t] > 0;
         if (positive ? alpha[t] < c : alpha[t] > 0.0)
             up = std::max(up, -e);
@@ -317,7 +351,8 @@ TEST(SvmTest, TrainingClosesTheMaxViolatingPairGap)
             dataset, config, options,
             [&](const std::vector<size_t> &subspace,
                 const LabeledData &fit) {
-                const FlatMatrix gram = svm.kernel.gramSymmetric(fit.rows);
+                GramRows gram;
+                gram.bind(svm.kernel, fit.rows);
                 const SmoSolution sol =
                     solveSmo(gram, fit.labels, svm.c, svm.tolerance);
                 EXPECT_FALSE(sol.capped) << name;
@@ -328,6 +363,11 @@ TEST(SvmTest, TrainingClosesTheMaxViolatingPairGap)
                     EXPECT_LE(sol.alpha[t], svm.c) << name;
                     balance += sol.alpha[t] * fit.labels[t];
                     count += sol.alpha[t] > 1e-9;
+                    // A multiplier moves only in a step that built
+                    // its sample's row.
+                    if (sol.alpha[t] > 0.0) {
+                        EXPECT_TRUE(gram.built(t)) << name;
+                    }
                 }
                 EXPECT_NEAR(balance, 0.0, 1e-9) << name;
                 EXPECT_LE(maxViolatingPairGap(gram, fit.labels,
