@@ -15,7 +15,8 @@
 # cases (fleet and single node, traces included). Last come the
 # population golden CLI cases, which drive tier deferral, harsh
 # chaos on four shards and population ARQ end to end through the
-# slab and shard-mask code. Usage:
+# slab and shard-mask code. The CLI flag sweep (cli.flag_sweep) then
+# feeds every flag hostile values in all three run modes. Usage:
 #
 #   scripts/check_asan_fleet.sh [build-dir]
 #
@@ -37,6 +38,6 @@ for suite in test_robustness test_fault_injection; do
     "$build/tests/$suite" --gtest_brief=1
 done
 ctest --test-dir "$build" \
-    -R 'cli\.golden\.(fleet|single_node|population)' \
+    -R 'cli\.(golden\.(fleet|single_node|population)|flag_sweep)' \
     --output-on-failure
 echo "ASan/UBSan fleet pass: OK"

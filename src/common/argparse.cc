@@ -9,18 +9,6 @@ namespace xpro
 {
 
 size_t
-parsePositiveArg(const std::string &value, const char *what)
-{
-    char *end = nullptr;
-    const long long parsed = std::strtoll(value.c_str(), &end, 10);
-    if (!end || *end != '\0' || end == value.c_str())
-        fatal("%s: '%s' is not a number", what, value.c_str());
-    if (parsed <= 0)
-        fatal("%s must be positive, got %lld", what, parsed);
-    return static_cast<size_t>(parsed);
-}
-
-size_t
 parseBoundedArg(const std::string &value, const char *what,
                 size_t max)
 {

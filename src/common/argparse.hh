@@ -16,16 +16,13 @@
 namespace xpro
 {
 
-/** Strictly positive integer ("--fleet 0" and "-3" are fatal). */
-size_t parsePositiveArg(const std::string &value, const char *what);
-
 /**
- * Strictly positive integer capped at @p max. Rejects values that
- * would overflow downstream arithmetic — including inputs so large
- * that strtoll itself saturates (ERANGE), which parsePositiveArg
- * would silently accept as LLONG_MAX. Every size-like CLI flag that
- * multiplies into buffer sizes or loop bounds must come through
- * here.
+ * Strictly positive integer capped at @p max ("--fleet 0" and "-3"
+ * are fatal). Rejects values that would overflow downstream
+ * arithmetic — including inputs so large that strtoll itself
+ * saturates (ERANGE), which a plain strtoll parse would silently
+ * accept as LLONG_MAX. Every size-like CLI flag that multiplies into
+ * buffer sizes or loop bounds must come through here.
  */
 size_t parseBoundedArg(const std::string &value, const char *what,
                        size_t max);
