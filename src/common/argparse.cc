@@ -8,9 +8,13 @@
 namespace xpro
 {
 
-size_t
-parseBoundedArg(const std::string &value, const char *what,
-                size_t max)
+namespace
+{
+
+/** A whole-string decimal integer; fatal on trailing text and on
+ *  values strtoll saturates (ERANGE). */
+long long
+parseIntegerArg(const std::string &value, const char *what)
 {
     errno = 0;
     char *end = nullptr;
@@ -19,6 +23,16 @@ parseBoundedArg(const std::string &value, const char *what,
         fatal("%s: '%s' is not a number", what, value.c_str());
     if (errno == ERANGE)
         fatal("%s: '%s' overflows", what, value.c_str());
+    return parsed;
+}
+
+} // namespace
+
+size_t
+parseBoundedArg(const std::string &value, const char *what,
+                size_t max)
+{
+    const long long parsed = parseIntegerArg(value, what);
     if (parsed <= 0)
         fatal("%s must be positive, got %lld", what, parsed);
     if (static_cast<unsigned long long>(parsed) > max) {
@@ -31,10 +45,7 @@ parseBoundedArg(const std::string &value, const char *what,
 size_t
 parseCountArg(const std::string &value, const char *what)
 {
-    char *end = nullptr;
-    const long long parsed = std::strtoll(value.c_str(), &end, 10);
-    if (!end || *end != '\0' || end == value.c_str())
-        fatal("%s: '%s' is not a number", what, value.c_str());
+    const long long parsed = parseIntegerArg(value, what);
     if (parsed < 0)
         fatal("%s must be non-negative, got %lld", what, parsed);
     return static_cast<size_t>(parsed);
@@ -79,10 +90,7 @@ parseNonNegativeRealArg(const std::string &value, const char *what)
 uint64_t
 parseSeedArg(const std::string &value, const char *what)
 {
-    char *end = nullptr;
-    const long long parsed = std::strtoll(value.c_str(), &end, 10);
-    if (!end || *end != '\0' || end == value.c_str())
-        fatal("%s: '%s' is not a number", what, value.c_str());
+    const long long parsed = parseIntegerArg(value, what);
     if (parsed < 0)
         fatal("%s must be non-negative, got %lld", what, parsed);
     return static_cast<uint64_t>(parsed);

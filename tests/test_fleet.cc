@@ -574,6 +574,15 @@ TEST(ArgparseTest, SeedArgAcceptsZeroButNotNegatives)
     EXPECT_EQ(parseSeedArg("2017", "--seed"), 2017u);
     EXPECT_THROW(parseSeedArg("-1", "--seed"), FatalError);
     EXPECT_THROW(parseSeedArg("seed", "--seed"), FatalError);
+    // 2^63 - 1 is the largest seed; past it strtoll saturates.
+    EXPECT_EQ(parseSeedArg("9223372036854775807", "--seed"),
+              9223372036854775807u);
+    EXPECT_THROW(parseSeedArg("9223372036854775808", "--seed"),
+                 FatalError);
+    EXPECT_THROW(parseSeedArg("18446744073709551616", "--seed"),
+                 FatalError);
+    EXPECT_THROW(parseCountArg("99999999999999999999", "--ml-workers"),
+                 FatalError);
 }
 
 TEST(ArgparseTest, ProbabilityArgBoundsTheRange)

@@ -207,9 +207,11 @@ struct CliOptions
 };
 
 /** Run modes, as bits so that a flag row can name every mode that
- *  reads it. */
+ *  reads it. kAdaptiveOnly marks a flag that only --adaptive runs
+ *  read. */
 enum : unsigned { kSingle = 1, kFleet = 2, kPopulation = 4 };
 constexpr unsigned kAllModes = kSingle | kFleet | kPopulation;
+constexpr unsigned kAdaptiveOnly = 8;
 
 unsigned
 runMode(const CliOptions &o)
@@ -358,27 +360,27 @@ const Flag kFlags[] = {
      "nonstationary day trace",
      kSingle | kFleet, [](CliOptions &o, Arg) { o.adaptive = true; }},
     {"--repartition-period", "<s>",
-     "control-window length in seconds (default 60)", kSingle | kFleet,
-     [](CliOptions &o, Arg v) {
+     "control-window length in seconds (default 60)",
+     kSingle | kFleet | kAdaptiveOnly, [](CliOptions &o, Arg v) {
          o.control.repartitionPeriod = Time::seconds(
              parsePositiveRealArg(v, "--repartition-period"));
      }},
     {"--hysteresis", "<frac>",
      "relative objective improvement a re-partition must beat "
      "(default 0.05)",
-     kSingle | kFleet, [](CliOptions &o, Arg v) {
+     kSingle | kFleet | kAdaptiveOnly, [](CliOptions &o, Arg v) {
          o.control.hysteresis =
              parseNonNegativeRealArg(v, "--hysteresis");
      }},
     {"--min-dwell", "<s>",
      "minimum seconds between re-partitions (default 120)",
-     kSingle | kFleet, [](CliOptions &o, Arg v) {
+     kSingle | kFleet | kAdaptiveOnly, [](CliOptions &o, Arg v) {
          o.control.minDwell =
              Time::seconds(parseNonNegativeRealArg(v, "--min-dwell"));
      }},
     {"--control-trace", "<file>",
      "write a Chrome trace of the controller's decisions",
-     kSingle | kFleet,
+     kSingle | kFleet | kAdaptiveOnly,
      [](CliOptions &o, Arg v) { o.controlTracePath = v; }},
     {"--nodes", "<n>",
      "population mode: simulate n nodes through the tier hierarchy",
@@ -499,6 +501,8 @@ parseArgs(int argc, char **argv)
         if (!(flag->modes & mode))
             fatal("%s does not apply to a %s run", flag->name,
                   mode_name);
+        if ((flag->modes & kAdaptiveOnly) && !o.adaptive)
+            fatal("%s requires --adaptive", flag->name);
     }
     if (o.maxRetries)
         o.faults.arq.maxRetries = *o.maxRetries;
@@ -549,8 +553,6 @@ validateOptions(const CliOptions &o)
               "honor a fixed placement; drop --engine %s",
               engineKindName(o.engine).c_str());
     }
-    if (!o.adaptive && !o.controlTracePath.empty())
-        fatal("--control-trace requires --adaptive");
     if (o.adaptive)
         o.control.validate();
     if (!o.chaos.enabled && !o.chaosTracePath.empty())
