@@ -1,5 +1,7 @@
 #include "common/simd.hh"
 
+#include <bit>
+#include <cstdint>
 #include <functional>
 #include <limits>
 
@@ -228,7 +230,142 @@ using Mask = decltype(V{} < V{});
 constexpr size_t vecWidth = sizeof(V) / sizeof(double);
 static_assert(simdPackWidth == 2 * vecWidth);
 
+// sin and cos, one source for a lane (double) and a vector of lanes
+// (V). Argument reduction is fdlibm's __ieee754_rem_pio2 medium case
+// made branch-free: pi/2 = kPio2_1 + kPio2_2 + kPio2_3 + kPio2_3t,
+// the first three with at most 33 significant bits, so k times each
+// is exact for |k| < 2^20; x - k * kPio2_1 is exact by Sterbenz, and
+// the next steps keep their rounding errors with Fast2Sum. Each is
+// exact: both operands lie on a fine enough grid that a difference
+// small enough to have the smaller operand first needs no rounding.
+// The reduced argument is a double-double r0 + r1 accurate to well
+// past 53 bits even next to multiples of pi/2, where x - k * pi/2
+// cancels. fdlibm's __kernel_sin and __kernel_cos polynomials (|r| <=
+// pi/4, tail included) then give the result; cos is sin with the
+// quadrant plus one.
+
+constexpr double
+fromBits(uint64_t bits)
+{
+    return std::bit_cast<double>(bits);
+}
+
+constexpr double kInvPio2 = fromBits(0x3FE45F306DC9C883); // 2/pi
+constexpr double kPio2_1 = fromBits(0x3FF921FB54400000);
+constexpr double kPio2_2 = fromBits(0x3DD0B4611A600000);
+constexpr double kPio2_3 = fromBits(0x3BA3198A2E000000);
+constexpr double kPio2_3t = fromBits(0x397B839A252049C1);
+// (v + kRoundShift) - kRoundShift rounds |v| < 2^51 to the nearest
+// integer.
+constexpr double kRoundShift = 0x1.8p52;
+
+constexpr double kS1 = fromBits(0xBFC5555555555549);
+constexpr double kS2 = fromBits(0x3F8111111110F8A6);
+constexpr double kS3 = fromBits(0xBF2A01A019C161D5);
+constexpr double kS4 = fromBits(0x3EC71DE357B1FE7D);
+constexpr double kS5 = fromBits(0xBE5AE5E68A2B9CEB);
+constexpr double kS6 = fromBits(0x3DE5D93A5ACFD57C);
+constexpr double kC1 = fromBits(0x3FA555555555554C);
+constexpr double kC2 = fromBits(0xBF56C16C16C15177);
+constexpr double kC3 = fromBits(0x3EFA01A019CB1590);
+constexpr double kC4 = fromBits(0xBE927E4F809C52AD);
+constexpr double kC5 = fromBits(0x3E21EE9EBDB4B1C4);
+constexpr double kC6 = fromBits(0xBDA8FAE9BE8838D4);
+
+// The helpers below return through pointers, so that no vector
+// crosses a call boundary by value (see keepMax).
+
+/** a - b = *sum + *err (Dekker's Fast2Sum on a and -b): exact when
+ *  a - b rounds exactly or a's exponent is at least b's. */
+template <typename T>
+[[gnu::always_inline]] inline void
+fastTwoDiff(const T &a, const T &b, T *sum, T *err)
+{
+    const T s = a - b;
+    *err = (a - s) - b;
+    *sum = s;
+}
+
+/** *out = sin(x), or cos(x) if @p Cosine. */
+template <bool Cosine, typename T>
+[[gnu::always_inline]] inline void
+sinCosLanes(const T &x, T *out)
+{
+    // Reduce: x = k * pi/2 + r0 + r1.
+    const T k = (x * kInvPio2 + kRoundShift) - kRoundShift;
+    const T a = x - k * kPio2_1;
+    T s1, e1, s2, e2, r0, r1;
+    fastTwoDiff(a, k * kPio2_2, &s1, &e1);
+    fastTwoDiff(s1, k * kPio2_3, &s2, &e2);
+    fastTwoDiff(s2, k * kPio2_3t - (e1 + e2), &r0, &r1);
+
+    // fdlibm's kernels on r0 + r1.
+    const T z = r0 * r0;
+    const T w = z * z;
+    const T ps = kS2 + z * (kS3 + z * kS4) + z * w * (kS5 + z * kS6);
+    const T v = z * r0;
+    const T sinR = r0 - ((z * (0.5 * r1 - v * ps) - r1) - v * kS1);
+    const T pc = z * (kC1 + z * (kC2 + z * kC3)) +
+                 w * w * (kC4 + z * (kC5 + z * kC6));
+    const T hz = 0.5 * z;
+    const T one = 1.0 - hz;
+    const T cosR = one + (((1.0 - one) - hz) + (z * pc - r0 * r1));
+
+    // Quadrant q = k (+1 for cos) mod 4, as m = q - 4 * round(q / 4)
+    // in {-2, -1, 0, 1, 2}: sin r, cos r, -sin r, -cos r for
+    // q = 0, 1, 2, 3.
+    const T q = Cosine ? k + 1.0 : k;
+    const T m = q - 4.0 * ((q * 0.25 + kRoundShift) - kRoundShift);
+    T y = (m == 1.0) | (m == -1.0) ? cosR : sinR;
+    y = (m < -0.5) | (m > 1.5) ? -y : y;
+    if constexpr (!Cosine) {
+        // sin(-0) = -0; the reduction's sums round it to +0.
+        y = x == 0.0 ? x : y;
+    }
+    const T nan = T{} + std::numeric_limits<double>::quiet_NaN();
+    *out = (x <= simdSinCosMaxArg) & (x >= -simdSinCosMaxArg) ? y : nan;
+}
+
+// A template argument drops V's aligned(8), so sinCosLanes works on
+// naturally aligned locals and the unaligned loads and stores stay
+// here.
+typedef double Lanes __attribute__((vector_size(32)));
+
+template <bool Cosine>
+[[gnu::always_inline]] inline void
+sinCosArray(double *dst, const double *src, size_t n)
+{
+    size_t i = 0;
+    for (; i + vecWidth <= n; i += vecWidth) {
+        const Lanes x = *reinterpret_cast<const V *>(src + i);
+        Lanes y;
+        sinCosLanes<Cosine>(x, &y);
+        *reinterpret_cast<V *>(dst + i) = y;
+    }
+    for (; i < n; ++i)
+        sinCosLanes<Cosine>(src[i], dst + i);
+}
+
 } // namespace
+
+namespace scalar_ref
+{
+
+void
+sin(double *dst, const double *src, size_t n)
+{
+    for (size_t i = 0; i < n; ++i)
+        sinCosLanes<false>(src[i], dst + i);
+}
+
+void
+cos(double *dst, const double *src, size_t n)
+{
+    for (size_t i = 0; i < n; ++i)
+        sinCosLanes<true>(src[i], dst + i);
+}
+
+} // namespace scalar_ref
 
 const char *
 simdBackendName()
@@ -450,6 +587,18 @@ simdSmoSelectLow(const double *error, const double *lowOffset,
     }
     *gmax2 = top_all;
     return pick;
+}
+
+XPRO_SIMD_CLONES void
+simdSin(double *dst, const double *src, size_t n)
+{
+    sinCosArray<false>(dst, src, n);
+}
+
+XPRO_SIMD_CLONES void
+simdCos(double *dst, const double *src, size_t n)
+{
+    sinCosArray<true>(dst, src, n);
 }
 
 XPRO_SIMD_CLONES void

@@ -1,8 +1,10 @@
 /**
  * @file
- * Portable SIMD kernels for the serving hot path and SVM training.
+ * Portable SIMD kernels for the serving hot path, SVM training and
+ * dataset synthesis.
  *
- * Every kernel here is **order-preserving**: vectorization runs
+ * Every kernel here but simdSin/simdCos (a deterministic sin and
+ * cos, see there) is **order-preserving**: vectorization runs
  * across independent output elements while each output's reduction
  * stays serial left-to-right, so results are bit-identical to the
  * retained scalar references below (and to the pre-SIMD code) on
@@ -97,6 +99,27 @@ size_t simdSmoSelectLow(const double *error, const double *lowOffset,
                         const double *rowI, const double *diag,
                         double kii, double gmax, double tau, size_t n,
                         double *gmax2);
+
+/**
+ * Largest |x| simdSin() and simdCos() evaluate; outside
+ * [-simdSinCosMaxArg, simdSinCosMaxArg] (and for NaN and +-inf) they
+ * return NaN.
+ */
+constexpr double simdSinCosMaxArg = 0x1p20;
+
+/**
+ * dst[i] = sin(src[i]) for i in [0, n); @p dst may equal @p src.
+ * Unlike the kernels above this is no libm-order reproduction: it is
+ * its own deterministic sin (fdlibm's reduction and polynomials,
+ * branch-free), within 1 ulp of the true sine over the domain,
+ * sin(+-0) = +-0, and bit-identical on every clone and to
+ * scalar_ref::sin, so results do not depend on the host libm.
+ */
+void simdSin(double *dst, const double *src, size_t n);
+
+/** dst[i] = cos(src[i]); simdSin()'s reduction with the quadrant
+ *  plus one, and its domain, bound and identity contract. */
+void simdCos(double *dst, const double *src, size_t n);
 
 /**
  * Packed multi-dot micro-kernel:
@@ -236,6 +259,9 @@ void moment34Packed(const double *packed, size_t n, const double *mu,
 void dwtStepPacked(const double *in, size_t m, const double *low,
                    const double *high, size_t taps, double *approx,
                    double *detail);
+/** simdSin and simdCos one lane at a time: the same code. */
+void sin(double *dst, const double *src, size_t n);
+void cos(double *dst, const double *src, size_t n);
 
 } // namespace scalar_ref
 

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <numbers>
 
+#include "common/simd.hh"
+
 namespace xpro
 {
 
@@ -63,10 +65,18 @@ synthesizeEcgSegment(size_t length, double sample_rate_hz,
         rng.uniform(0.0, 2.0 * std::numbers::pi);
     const double wander_freq = rng.uniform(0.15, 0.45);
 
-    // A skipped segment draws its per-sample noise in one skip.
+    // A skipped segment draws its per-sample noise in one skip. A
+    // rendered one holds the baseline wander in its own storage until
+    // each sample is summed over it.
     std::vector<double> segment(materialize ? length : 0);
     if (!materialize)
         rng.skipGaussians(length);
+    for (size_t i = 0; i < segment.size(); ++i) {
+        const double t = static_cast<double>(i) / sample_rate_hz;
+        segment[i] =
+            2.0 * std::numbers::pi * wander_freq * t + wander_phase;
+    }
+    simdSin(segment.data(), segment.data(), segment.size());
     for (size_t i = 0; i < segment.size(); ++i) {
         const double t = static_cast<double>(i) / sample_rate_hz;
         double value = 0.0;
@@ -77,9 +87,7 @@ synthesizeEcgSegment(size_t length, double sample_rate_hz,
             value += wave.amplitude * amplitude_jitter *
                      std::exp(-0.5 * z * z);
         }
-        value += config.baselineWander *
-                 std::sin(2.0 * std::numbers::pi * wander_freq * t +
-                          wander_phase);
+        value += config.baselineWander * segment[i];
         value += config.noiseLevel * rng.gaussian();
         segment[i] = value;
     }

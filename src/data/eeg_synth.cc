@@ -1,7 +1,10 @@
 #include "data/eeg_synth.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
+
+#include "common/simd.hh"
 
 namespace xpro
 {
@@ -54,20 +57,31 @@ synthesizeEegSegment(size_t length, double sample_rate_hz,
     }
 
     // A skipped segment draws its per-sample noise in one skip and
-    // renders no sines or spikes.
+    // renders no sines or spikes. A rendered one evaluates each
+    // component's sines over a block of samples (the whole segment in
+    // every paper case) in one call, and every sample sums them in
+    // component order before its noise.
     std::vector<double> segment(materialize ? length : 0, 0.0);
     if (!materialize)
         rng.skipGaussians(length);
-    for (size_t i = 0; i < segment.size(); ++i) {
-        const double t = static_cast<double>(i) / sample_rate_hz;
-        double value = 0.0;
-        for (const Component &c : components)
-            value += c.amp *
-                     std::sin(2.0 * std::numbers::pi * c.freq * t +
-                              c.phase);
-        value += config.noiseLevel * rng.gaussian();
-        segment[i] = value;
+    constexpr size_t block = 128;
+    double times[block];
+    double sines[block];
+    for (size_t at = 0; at < segment.size(); at += block) {
+        const size_t count = std::min(block, segment.size() - at);
+        for (size_t j = 0; j < count; ++j)
+            times[j] = static_cast<double>(at + j) / sample_rate_hz;
+        for (const Component &c : components) {
+            for (size_t j = 0; j < count; ++j)
+                sines[j] =
+                    2.0 * std::numbers::pi * c.freq * times[j] + c.phase;
+            simdSin(sines, sines, count);
+            for (size_t j = 0; j < count; ++j)
+                segment[at + j] += c.amp * sines[j];
+        }
     }
+    for (double &value : segment)
+        value += config.noiseLevel * rng.gaussian();
 
     if (positive) {
         // Inject biphasic spike transients at random positions away

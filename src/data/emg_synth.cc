@@ -3,6 +3,8 @@
 #include <cmath>
 #include <numbers>
 
+#include "common/simd.hh"
+
 namespace xpro
 {
 
@@ -22,9 +24,15 @@ synthesizeEmgSegment(size_t length, double sample_rate_hz,
 
     // Envelope: resting tone plus Hann-shaped activation bursts. A
     // skipped segment still draws each burst's jitter and start, which
-    // fix how many in-burst gaussians follow, then skips those.
+    // fix how many in-burst gaussians follow, then skips those. A
+    // rendered one holds each burst's cosines in the segment's storage
+    // until the last loop overwrites it.
     std::vector<double> envelope(materialize ? length : 0,
                                  config.restingNoise);
+    std::vector<double> segment(envelope.size());
+    const auto time = [&](size_t i) {
+        return static_cast<double>(i) / sample_rate_hz;
+    };
     for (size_t b = 0; b < bursts; ++b) {
         const double jitter = 1.0 + 0.15 * rng.gaussian();
         const double len = burst_len * std::fabs(jitter);
@@ -32,24 +40,29 @@ synthesizeEmgSegment(size_t length, double sample_rate_hz,
             rng.uniform(0.05 * duration,
                         std::max(0.05 * duration + 1e-6,
                                  0.95 * duration - len));
-        size_t in_burst = 0;
-        for (size_t i = 0; i < length; ++i) {
-            const double t = static_cast<double>(i) / sample_rate_hz;
-            if (t < start || t > start + len)
-                continue;
-            if (!materialize) {
-                ++in_burst;
-                continue;
-            }
-            const double phase = (t - start) / len;
-            const double hann =
-                0.5 * (1.0 - std::cos(2.0 * std::numbers::pi * phase));
-            envelope[i] += amplitude * hann * (1.0 + 0.1 * rng.gaussian());
+        // Sample times rise with i, so the burst is one index range.
+        size_t begin = 0;
+        while (begin < length && time(begin) < start)
+            ++begin;
+        size_t end = begin;
+        while (end < length && !(time(end) > start + len))
+            ++end;
+        if (!materialize) {
+            rng.skipGaussians(end - begin);
+            continue;
         }
-        rng.skipGaussians(in_burst);
+        for (size_t i = begin; i < end; ++i) {
+            const double phase = (time(i) - start) / len;
+            segment[i] = 2.0 * std::numbers::pi * phase;
+        }
+        simdCos(segment.data() + begin, segment.data() + begin,
+                end - begin);
+        for (size_t i = begin; i < end; ++i) {
+            envelope[i] += amplitude * (0.5 * (1.0 - segment[i])) *
+                           (1.0 + 0.1 * rng.gaussian());
+        }
     }
 
-    std::vector<double> segment(envelope.size());
     if (!materialize)
         rng.skipGaussians(length);
     for (size_t i = 0; i < segment.size(); ++i)

@@ -170,14 +170,14 @@ pipelineDigest(const TrainedPipeline &pipeline)
 // Fence for any change to synthesis, feature extraction, splitting
 // or SVM training: the trained models must stay bit-identical.
 // Values generated by the working-set SMO solver that trains until
-// the duality gap closes; regenerate only for an intended model
-// change.
+// the duality gap closes, on datasets synthesized with common/simd's
+// sin and cos; regenerate only for an intended model change.
 /** The fleet's per-node settings (FleetNodeSpec defaults) on the
  *  first six nodes of heterogeneousFleet(n, 1): case i, seed i+1. */
 const uint64_t fleetSettingsDigests[6] = {
-    0xd4c50717e7ff4eb5ull, 0xc96538712ef33027ull,
-    0x05f62b7a323f4a1dull, 0xe721bd3f949b12d6ull,
-    0x4dbd4207c9c1c6bcull, 0x5f9d9c03568fd7d8ull,
+    0x50b61cf3f28c08b1ull, 0xa411cbdbebaaaa3bull,
+    0x343a76d5f66e3152ull, 0xbea3ae1ad17880dbull,
+    0x20b7bb872052dfc6ull, 0xc4cd41453e47bd25ull,
 };
 
 EngineConfig
@@ -267,7 +267,7 @@ TEST(PipelineTest, DefaultSettingsModelDigestIsPinned)
 {
     const TrainedPipeline pipeline =
         trainPipeline(makeTestCase(TestCase::C1), EngineConfig{});
-    EXPECT_EQ(pipelineDigest(pipeline), 0xa438779340838f46ull)
+    EXPECT_EQ(pipelineDigest(pipeline), 0x1e022766a1f4f3edull)
         << std::hex << "got 0x" << pipelineDigest(pipeline);
 }
 
