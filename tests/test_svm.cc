@@ -8,13 +8,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/logging.hh"
 #include "common/random.hh"
+#include "common/simd.hh"
 #include "core/pipeline.hh"
 #include "data/testcases.hh"
 #include "ml/svm.hh"
@@ -212,6 +215,85 @@ TEST(SvmTest, FitDecisionsMatchDecisionBatchExactly)
             EXPECT_EQ(0, std::memcmp(fit.data(), batch.data(),
                                      fit.size() * sizeof(double)))
                 << config.kernel.name() << " C=" << c;
+        }
+    }
+}
+
+/** The bit pattern of @p v, so -0.0 and NaN compare exactly. */
+uint64_t
+bitsOf(double v)
+{
+    uint64_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    return bits;
+}
+
+/**
+ * decision() and decisionBatch() equal an independent sum over the
+ * scalar parts, bit for bit: bias + sum_k w_k * K(x, sv_k) in
+ * support-vector order, the RBF formed as rbfFromParts(gamma, |x|^2,
+ * |sv_k|^2, x.sv_k) from the scalar references and the linear kernel
+ * as the bare dot. Support-vector counts fall on and off the SIMD
+ * tile width, down to a single one; the probes include an all-zero
+ * row and a copy of a support vector.
+ */
+TEST(SvmTest, DecisionMatchesScalarPartsExactly)
+{
+    Rng rng(223);
+    for (KernelKind kind : {KernelKind::Rbf, KernelKind::Linear}) {
+        const Kernel kernel{kind, 0.37};
+        for (size_t count : {1u, 2u, 7u, 8u, 9u, 15u, 17u, 43u}) {
+            for (size_t dims : {1u, 3u, 5u, 11u}) {
+                FlatMatrix svs(count, dims);
+                std::vector<double> weights(count);
+                for (size_t k = 0; k < count; ++k) {
+                    for (size_t d = 0; d < dims; ++d)
+                        svs.rowData(k)[d] = rng.gaussian();
+                    weights[k] = rng.gaussian();
+                }
+                const double bias = rng.gaussian();
+                const Svm model(kernel, bias, svs, weights);
+                ASSERT_EQ(model.supportVectorCount(), count);
+                EXPECT_EQ(model.supportVectors(), svs);
+
+                FlatMatrix probe(6, dims);
+                for (size_t i = 1; i < probe.size(); ++i) {
+                    for (size_t d = 0; d < dims; ++d)
+                        probe.rowData(i)[d] = rng.gaussian();
+                }
+                std::copy_n(svs.rowData(count - 1), dims,
+                            probe.rowData(probe.size() - 1));
+                const std::vector<double> batch =
+                    model.decisionBatch(probe);
+                ASSERT_EQ(batch.size(), probe.size());
+
+                const std::string what =
+                    kernel.name() + " svs=" + std::to_string(count) +
+                    " dims=" + std::to_string(dims);
+                for (size_t i = 0; i < probe.size(); ++i) {
+                    const double *x = probe.rowData(i);
+                    const double x_norm =
+                        scalar_ref::squaredNorm(x, dims);
+                    double expected = bias;
+                    for (size_t k = 0; k < count; ++k) {
+                        const double *sv = svs.rowData(k);
+                        const double dot = scalar_ref::dot(x, sv, dims);
+                        expected +=
+                            weights[k] *
+                            (kind == KernelKind::Rbf
+                                 ? rbfFromParts(
+                                       kernel.gamma, x_norm,
+                                       scalar_ref::squaredNorm(sv, dims),
+                                       dot)
+                                 : dot);
+                    }
+                    EXPECT_EQ(bitsOf(model.decision(probe.row(i))),
+                              bitsOf(expected))
+                        << what << " row " << i;
+                    EXPECT_EQ(bitsOf(batch[i]), bitsOf(expected))
+                        << what << " row " << i;
+                }
+            }
         }
     }
 }
