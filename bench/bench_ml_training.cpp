@@ -4,10 +4,10 @@
  * pre-optimization serial pipeline (vector-of-vectors rows, pairwise
  * kernel matrix, SMO recomputing decision sums from scratch,
  * per-sample projection and inference) and times it against the
- * current path (flat matrices, batched Gram, error-cached SMO, batch
- * inference) on the largest Table-1 case. Both paths train the full
- * 100-candidate ensemble on identical data with identical subspace
- * draws, then classify the held-out test split.
+ * current path (flat matrices, on-demand Gram rows, error-cached
+ * SMO, packed kernel tiles) on the largest Table-1 case. Both paths
+ * train the full 100-candidate ensemble on identical data with
+ * identical subspace draws, then classify the held-out test split.
  *
  * The shape check gates the optimization: the fast path must be at
  * least 3x faster end to end, and both paths must produce a working
@@ -430,7 +430,7 @@ main()
         static_cast<double>(naive_correct) /
         static_cast<double>(naive_test.size());
 
-    // Fast path: batched Gram + error-cached SMO + batch inference,
+    // Fast path: on-demand Gram rows + error-cached SMO + kernel tiles,
     // all workers the machine has (identical results at any count).
     RandomSubspaceConfig fast = subspace;
     fast.workers = 0;

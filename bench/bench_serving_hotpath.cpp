@@ -1,10 +1,12 @@
 /**
  * @file
- * Serving hot-path harness: the pre-PR per-event path (one
+ * Serving hot-path harness: the per-event path (one
  * TrainedPipeline::classify() call per event, heap-allocating
- * feature vectors and scalar kernels) against the allocation-free
- * SIMD hot path with cross-user batching (HotPathPipeline behind
- * BatchServer). Shape checks: the batched predictions are
+ * feature vectors and per-kind statistics) against the
+ * allocation-free SIMD hot path with cross-user batching
+ * (HotPathPipeline behind BatchServer). Both end in the same
+ * Svm::decision() kernel tiles, so the ratio measures framing, DWT,
+ * features, scaling and batching. Shape checks: the batched predictions are
  * bit-identical to the per-event oracle at every batch size and
  * worker count tried, and one batching worker is at least 3x the
  * per-event path. Both sides of that gate run on one thread and are
@@ -48,9 +50,11 @@ struct Population
  * The pre-PR per-event serving path, reproduced from the retained
  * reference APIs: frame + full DWT per event into freshly allocated
  * vectors, per-kind statistics via computeAllFeatures() (each kind
- * recomputing its own moments), allocating scaler transform, scalar
- * ensemble decision. This is exactly what TrainedPipeline::classify()
- * compiled to before the fused extractor landed; the differential
+ * recomputing its own moments), allocating scaler transform, then
+ * the ensemble's per-sample decision (RandomSubspace::predict(), one
+ * projected vector per base). This is what
+ * TrainedPipeline::classify() compiled to before the fused extractor
+ * landed, on today's SVM decision kernel; the differential
  * harness proves the live path stayed bit-identical to it, and the
  * bench re-checks that below.
  */

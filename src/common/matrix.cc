@@ -1,11 +1,9 @@
 #include "common/matrix.hh"
 
-#include <algorithm>
 #include <cmath>
 #include <utility>
 
 #include "common/logging.hh"
-#include "common/simd.hh"
 
 namespace xpro
 {
@@ -47,62 +45,6 @@ FlatMatrix::push_back(RowView row)
     }
     _data.insert(_data.end(), row.begin(), row.end());
     ++_rows;
-}
-
-FlatMatrix
-FlatMatrix::multiplyTransposed(const FlatMatrix &other) const
-{
-    if (_rows == 0 || other._rows == 0)
-        return FlatMatrix(_rows, other._rows, 0.0);
-    xproAssert(_cols == other._cols,
-               "shared dimension mismatch in multiplyTransposed: "
-               "%zu vs %zu",
-               _cols, other._cols);
-
-    FlatMatrix out(_rows, other._rows, 0.0);
-    const size_t dims = _cols;
-    // Tile over the rows of the right operand: each tile of
-    // simdPackWidth right-hand rows is transposed once into the
-    // interleaved pack layout, then every left row streams past it
-    // through the SIMD multi-dot micro-kernel. Per output the
-    // reduction stays serial left-to-right, so results are
-    // bit-identical to the scalar dot schedule.
-    std::vector<double> packed(dims * simdPackWidth);
-    const double *tileRows[simdPackWidth];
-    double lane[simdPackWidth];
-    for (size_t jb = 0; jb < other._rows; jb += simdPackWidth) {
-        const size_t count =
-            std::min(simdPackWidth, other._rows - jb);
-        for (size_t j = 0; j < count; ++j)
-            tileRows[j] = other.rowData(jb + j);
-        simdPackRows(tileRows, count, dims, packed.data());
-        for (size_t i = 0; i < _rows; ++i) {
-            simdDotPacked(rowData(i), packed.data(), dims, lane);
-            double *o = out.rowData(i) + jb;
-            for (size_t j = 0; j < count; ++j)
-                o[j] = lane[j];
-        }
-    }
-    return out;
-}
-
-std::vector<double>
-FlatMatrix::rowSquaredNorms() const
-{
-    std::vector<double> norms(_rows);
-    std::vector<double> packed(_cols * simdPackWidth);
-    const double *tileRows[simdPackWidth];
-    double lane[simdPackWidth];
-    for (size_t ib = 0; ib < _rows; ib += simdPackWidth) {
-        const size_t count = std::min(simdPackWidth, _rows - ib);
-        for (size_t i = 0; i < count; ++i)
-            tileRows[i] = rowData(ib + i);
-        simdPackRows(tileRows, count, _cols, packed.data());
-        simdSquaredNormsPacked(packed.data(), _cols, lane);
-        for (size_t i = 0; i < count; ++i)
-            norms[ib + i] = lane[i];
-    }
-    return norms;
 }
 
 Matrix::Matrix(size_t rows, size_t cols, double fill)

@@ -7,11 +7,10 @@
  *
  * Also the flat row-major sample storage of the ML hot path:
  * RowView (a non-owning view of one contiguous row) and FlatMatrix
- * (equal-length rows in one contiguous buffer, growable by row, with
- * a blocked GEMM-style row-by-row product). The classifier's Gram
- * matrices, support vectors and datasets all live in FlatMatrix so
- * kernel evaluations stream contiguous memory instead of chasing one
- * heap allocation per sample.
+ * (equal-length rows in one contiguous buffer, growable by row).
+ * The classifier's datasets and projected subspaces live in
+ * FlatMatrix, so kernel evaluations stream contiguous memory instead
+ * of chasing one heap allocation per sample.
  */
 
 #ifndef XPRO_COMMON_MATRIX_HH
@@ -153,22 +152,6 @@ class FlatMatrix
 
     ConstIterator begin() const { return {this, 0}; }
     ConstIterator end() const { return {this, _rows}; }
-
-    /**
-     * Blocked GEMM-style product with a transposed right-hand side:
-     * out(i, j) = dot(this->row(i), other.row(j)). This is the
-     * cross-product step of batched kernel evaluation. Each output
-     * entry accumulates left-to-right over the shared dimension in a
-     * single accumulator — bit-identical to dotProduct() — while
-     * tiles of simdPackWidth right-hand rows are transposed into the
-     * packed layout and evaluated with the SIMD multi-dot
-     * micro-kernel (common/simd.hh), vectorizing across outputs
-     * without reordering any reduction.
-     */
-    FlatMatrix multiplyTransposed(const FlatMatrix &other) const;
-
-    /** Per-row squared Euclidean norms (left-to-right sums). */
-    std::vector<double> rowSquaredNorms() const;
 
   private:
     size_t _rows = 0;

@@ -23,9 +23,9 @@
  * (simdPackWidth columns) so that out[j] += a[k] * packed[k][j]
  * broadcasts one left element against a contiguous vector of right
  * columns. Per output j the accumulation is serial in k — exactly
- * dotProduct()'s schedule — which is how the blocked multiply, the
- * batched RBF Gram and per-sample SVM decisions all stay mutually
- * bit-identical.
+ * dotProduct()'s schedule — which is how the SVM kernel tile
+ * (ml/kernel.hh), and with it training's Gram rows and every
+ * decision, matches the scalar references bit for bit.
  */
 
 #ifndef XPRO_COMMON_SIMD_HH

@@ -515,31 +515,4 @@ FleetReport::writeText(std::ostream &out) const
         chaos.writeText(out);
 }
 
-CsvTable
-FleetReport::csv() const
-{
-    CsvTable table({"node", "process", "admission", "sensor_cells",
-                    "total_cells", "accuracy", "events_per_second",
-                    "sensor_lifetime_h", "events", "deadline_misses",
-                    "mean_latency_ms", "worst_latency_ms",
-                    "aggregator_power_uw"});
-    for (const FleetNodeReportRow &row : rows) {
-        table.beginRow()
-            .add(row.symbol)
-            .add(row.process)
-            .add(row.admission)
-            .add(row.sensorCells)
-            .add(row.totalCells)
-            .add(row.accuracy)
-            .add(row.eventsPerSecond)
-            .add(row.sensorLifetimeHours)
-            .add(row.events)
-            .add(row.deadlineMisses)
-            .add(row.meanLatencyMs)
-            .add(row.worstLatencyMs)
-            .add(row.aggregatorPowerUw);
-    }
-    return table;
-}
-
 } // namespace xpro

@@ -447,9 +447,6 @@ struct FleetReport
 
     /** Human-readable fixed-width summary plus per-node table. */
     void writeText(std::ostream &out) const;
-
-    /** Per-node CSV (one row per fleet node). */
-    CsvTable csv() const;
 };
 
 } // namespace xpro

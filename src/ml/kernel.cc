@@ -46,24 +46,67 @@ Kernel::operator()(RowView x, RowView z) const
     panic("unknown kernel kind %d", static_cast<int>(kind));
 }
 
-FlatMatrix
-Kernel::gram(const FlatMatrix &a, const FlatMatrix &b) const
+void
+PackedRows::assign(const FlatMatrix &a)
 {
-    // One blocked cross-product pass gives every dot product; the
-    // RBF then needs only the per-row squared norms on top.
-    FlatMatrix out = a.multiplyTransposed(b);
-    if (kind == KernelKind::Linear)
-        return out;
+    pack(a, nullptr, a.size());
+}
 
-    const std::vector<double> a_norms = a.rowSquaredNorms();
-    const std::vector<double> b_norms = b.rowSquaredNorms();
-    for (size_t i = 0; i < a.size(); ++i) {
-        double *row = out.rowData(i);
-        for (size_t j = 0; j < b.size(); ++j)
-            row[j] = rbfFromParts(gamma, a_norms[i], b_norms[j],
-                                  row[j]);
+void
+PackedRows::assign(const FlatMatrix &a, const std::vector<size_t> &rows)
+{
+    pack(a, rows.data(), rows.size());
+}
+
+void
+PackedRows::pack(const FlatMatrix &a, const size_t *rows, size_t count)
+{
+    _count = count;
+    _dims = a.cols();
+    const size_t tiles = (count + simdPackWidth - 1) / simdPackWidth;
+    _tiles.resize(tiles * _dims * simdPackWidth);
+    _norms.resize(tiles * simdPackWidth);
+    const double *tileRows[simdPackWidth];
+    for (size_t first = 0; first < count; first += simdPackWidth) {
+        const size_t lanes = std::min(simdPackWidth, count - first);
+        for (size_t j = 0; j < lanes; ++j)
+            tileRows[j] = a.rowData(rows ? rows[first + j] : first + j);
+        double *tile = _tiles.data() + first * _dims;
+        simdPackRows(tileRows, lanes, _dims, tile);
+        simdSquaredNormsPacked(tile, _dims, _norms.data() + first);
+    }
+}
+
+FlatMatrix
+PackedRows::unpack() const
+{
+    FlatMatrix out(_count, _dims);
+    for (size_t k = 0; k < _count; ++k) {
+        const double *lane = _tiles.data() +
+                             (k - k % simdPackWidth) * _dims +
+                             k % simdPackWidth;
+        for (size_t d = 0; d < _dims; ++d)
+            out.rowData(k)[d] = lane[d * simdPackWidth];
     }
     return out;
+}
+
+void
+PackedRows::kernelTile(const Kernel &kernel, const double *x,
+                       double xNorm, size_t first, double *out,
+                       const char *skip) const
+{
+    double dot[simdPackWidth];
+    simdDotPacked(x, _tiles.data() + first * _dims, _dims, dot);
+    const size_t lanes = std::min(simdPackWidth, _count - first);
+    for (size_t j = 0; j < lanes; ++j) {
+        if (skip && skip[j])
+            continue;
+        out[j] = kernel.kind == KernelKind::Rbf
+                     ? rbfFromParts(kernel.gamma, xNorm,
+                                    _norms[first + j], dot[j])
+                     : dot[j];
+    }
 }
 
 void
@@ -71,59 +114,37 @@ GramRows::bind(const Kernel &kernel, const FlatMatrix &a)
 {
     _kernel = kernel;
     _a = &a;
-    _n = a.size();
-    const size_t dims = a.cols();
-    const size_t tiles = (_n + simdPackWidth - 1) / simdPackWidth;
-    _packed.resize(tiles * dims * simdPackWidth);
-    _norms.resize(tiles * simdPackWidth);
-    // The norms come from the packed tiles, rowSquaredNorms()'s
-    // schedule, so they equal the norms gram() and the trained
-    // model's support vectors use.
-    const double *tileRows[simdPackWidth];
-    for (size_t first = 0; first < _n; first += simdPackWidth) {
-        const size_t count = std::min(simdPackWidth, _n - first);
-        for (size_t j = 0; j < count; ++j)
-            tileRows[j] = a.rowData(first + j);
-        double *tile = _packed.data() + first * dims;
-        simdPackRows(tileRows, count, dims, tile);
-        simdSquaredNormsPacked(tile, dims, _norms.data() + first);
-    }
+    _packed.assign(a);
+    const size_t n = a.size();
     // Grows only: a smaller Gram reuses the buffer without zeroing.
-    if (_rows.size() < _n * _n)
-        _rows.resize(_n * _n);
-    _built.assign(_n, 0);
+    if (_rows.size() < n * n)
+        _rows.resize(n * n);
+    _built.assign(n, 0);
 }
 
 const double *
 GramRows::row(size_t i)
 {
-    xproAssert(i < _n, "Gram row %zu of %zu", i, _n);
-    double *out = _rows.data() + i * _n;
+    const size_t n = size();
+    xproAssert(i < n, "Gram row %zu of %zu", i, n);
+    double *out = _rows.data() + i * n;
     if (_built[i])
         return out;
 
     // K is symmetric: an entry whose other row exists is a copy. A
-    // tile of still-missing rows costs one packed multi-dot.
-    const size_t dims = _a->cols();
+    // tile of still-missing rows costs one kernel tile.
     const double *x = _a->rowData(i);
-    double lane[simdPackWidth];
-    for (size_t first = 0; first < _n; first += simdPackWidth) {
-        const size_t count = std::min(simdPackWidth, _n - first);
+    const double x_norm = _packed.norm(i);
+    for (size_t first = 0; first < n; first += simdPackWidth) {
+        const size_t count = std::min(simdPackWidth, n - first);
         const char *built = _built.data() + first;
         if (std::find(built, built + count, 0) != built + count) {
-            simdDotPacked(x, _packed.data() + first * dims, dims,
-                          lane);
+            _packed.kernelTile(_kernel, x, x_norm, first, out + first,
+                               built);
         }
         for (size_t j = 0; j < count; ++j) {
-            const size_t k = first + j;
-            if (built[j]) {
-                out[k] = _rows[k * _n + i];
-            } else {
-                out[k] = _kernel.kind == KernelKind::Rbf
-                             ? rbfFromParts(_kernel.gamma, _norms[i],
-                                            _norms[k], lane[j])
-                             : lane[j];
-            }
+            if (built[j])
+                out[first + j] = _rows[(first + j) * n + i];
         }
     }
     _built[i] = 1;
@@ -133,13 +154,13 @@ GramRows::row(size_t i)
 double
 GramRows::diagonal(size_t i) const
 {
-    xproAssert(i < _n, "Gram row %zu of %zu", i, _n);
+    xproAssert(i < size(), "Gram row %zu of %zu", i, size());
     // a_i.a_i and |a_i|^2 accumulate the same products in the same
     // order, so this is the entry row(i) would hold.
+    const double norm = _packed.norm(i);
     return _kernel.kind == KernelKind::Rbf
-               ? rbfFromParts(_kernel.gamma, _norms[i], _norms[i],
-                              _norms[i])
-               : _norms[i];
+               ? rbfFromParts(_kernel.gamma, norm, norm, norm)
+               : norm;
 }
 
 std::string

@@ -250,8 +250,8 @@ RandomSubspace::scoreBatch(const FlatMatrix &full_rows) const
     std::vector<double> scores(full_rows.size(), 0.0);
     for (size_t i = 0; i < scores.size(); ++i)
         scores[i] = _weightBias;
-    // One batched projection + kernel block per base instead of one
-    // heap-allocated projection per (sample, base) pair.
+    // One batched projection per base instead of one heap-allocated
+    // projection per (sample, base) pair.
     for (size_t m = 0; m < _bases.size(); ++m) {
         const std::vector<int> votes = _bases[m].model.predictBatch(
             projectRows(full_rows, _bases[m].featureIndices));

@@ -1,56 +1,16 @@
 #include "serve/hot_path.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
-#include "common/simd.hh"
 
 namespace xpro
 {
 
 HotPathPipeline::HotPathPipeline(const TrainedPipeline &pipeline)
     : _extractor(pipeline.extractor), _scaler(pipeline.scaler),
-      _fusionBias(pipeline.ensemble.fusionBias())
+      _ensemble(pipeline.ensemble)
 {
-    const std::vector<BaseClassifier> &bases =
-        pipeline.ensemble.bases();
-    xproAssert(!bases.empty(), "ensemble not trained");
+    xproAssert(!_ensemble.bases().empty(), "ensemble not trained");
     xproAssert(_scaler.fitted(), "scaler not fitted");
-
-    _bases.reserve(bases.size());
-    for (size_t m = 0; m < bases.size(); ++m) {
-        const BaseClassifier &base = bases[m];
-        const Svm &model = base.model;
-        const FlatMatrix &svs = model.supportVectors();
-
-        PackedBase packed;
-        packed.featureIndices = base.featureIndices;
-        packed.weights = model.weights();
-        packed.svNorms = model.supportVectorNorms();
-        packed.bias = model.bias();
-        packed.gamma = model.kernel().gamma;
-        packed.kind = model.kernel().kind;
-        packed.svCount = svs.size();
-        packed.dims = model.dimension();
-        packed.fusionWeight = pipeline.ensemble.fusionWeights()[m];
-
-        const size_t tiles =
-            (packed.svCount + simdPackWidth - 1) / simdPackWidth;
-        packed.packedTiles.resize(tiles * packed.dims *
-                                  simdPackWidth);
-        const double *tileRows[simdPackWidth];
-        for (size_t t = 0; t < tiles; ++t) {
-            const size_t k0 = t * simdPackWidth;
-            const size_t count =
-                std::min(simdPackWidth, packed.svCount - k0);
-            for (size_t j = 0; j < count; ++j)
-                tileRows[j] = svs.rowData(k0 + j);
-            simdPackRows(tileRows, count, packed.dims,
-                         packed.packedTiles.data() +
-                             t * packed.dims * simdPackWidth);
-        }
-        _bases.push_back(std::move(packed));
-    }
 }
 
 int
@@ -67,52 +27,19 @@ int
 HotPathPipeline::classifyFeatures(double *row, Arena &arena) const
 {
     _scaler.transformInto(row, row);
-    double score = _fusionBias;
-    double lane[simdPackWidth];
-    for (const PackedBase &base : _bases) {
-        double *sub = arena.alloc<double>(base.dims);
-        for (size_t c = 0; c < base.dims; ++c)
-            sub[c] = row[base.featureIndices[c]];
-
-        // Svm::decision()'s schedule: bias first, then one weighted
-        // kernel term per support vector in SV order; each dot runs
-        // serially over the subspace dimensions inside the packed
-        // micro-kernel, so the value matches the scalar path bitwise.
-        double acc = base.bias;
-        if (base.kind == KernelKind::Rbf) {
-            const double x_norm =
-                scalar_ref::squaredNorm(sub, base.dims);
-            for (size_t k0 = 0; k0 < base.svCount;
-                 k0 += simdPackWidth) {
-                simdDotPacked(sub,
-                              base.packedTiles.data() +
-                                  (k0 / simdPackWidth) * base.dims *
-                                      simdPackWidth,
-                              base.dims, lane);
-                const size_t count =
-                    std::min(simdPackWidth, base.svCount - k0);
-                for (size_t j = 0; j < count; ++j)
-                    acc += base.weights[k0 + j] *
-                           rbfFromParts(base.gamma, x_norm,
-                                        base.svNorms[k0 + j],
-                                        lane[j]);
-            }
-        } else {
-            for (size_t k0 = 0; k0 < base.svCount;
-                 k0 += simdPackWidth) {
-                simdDotPacked(sub,
-                              base.packedTiles.data() +
-                                  (k0 / simdPackWidth) * base.dims *
-                                      simdPackWidth,
-                              base.dims, lane);
-                const size_t count =
-                    std::min(simdPackWidth, base.svCount - k0);
-                for (size_t j = 0; j < count; ++j)
-                    acc += base.weights[k0 + j] * lane[j];
-            }
-        }
-        const int vote = acc >= 0.0 ? 1 : -1;
-        score += base.fusionWeight * static_cast<double>(vote);
+    // RandomSubspace::score()'s sum, with each subspace gathered into
+    // arena scratch instead of a fresh vector.
+    const std::vector<BaseClassifier> &bases = _ensemble.bases();
+    const std::vector<double> &fusion = _ensemble.fusionWeights();
+    double score = _ensemble.fusionBias();
+    for (size_t m = 0; m < bases.size(); ++m) {
+        const std::vector<size_t> &features = bases[m].featureIndices;
+        double *sub = arena.alloc<double>(features.size());
+        for (size_t c = 0; c < features.size(); ++c)
+            sub[c] = row[features[c]];
+        const int vote =
+            bases[m].model.predict(RowView(sub, features.size()));
+        score += fusion[m] * static_cast<double>(vote);
     }
     return score >= 0.0 ? 1 : -1;
 }

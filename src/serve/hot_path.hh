@@ -2,20 +2,19 @@
  * @file
  * Compiled allocation-free serving form of a trained pipeline.
  *
- * HotPathPipeline takes a TrainedPipeline apart once at construction
- * — support vectors transposed into packed SIMD tiles
- * (common/simd.hh), per-SV norms and weights flattened, fusion
- * weights captured — so that classify() runs segment → DWT →
- * features → scaling → per-base RBF decision → weighted vote with
- * zero heap allocations (all scratch comes from a caller-provided
- * Arena and DwtScratch, which stop growing after the first event).
+ * HotPathPipeline copies a TrainedPipeline's extractor, scaler and
+ * ensemble once at construction, so that classify() runs segment →
+ * DWT → features → scaling → per-base RBF decision → weighted vote
+ * with zero heap allocations (all scratch comes from a
+ * caller-provided Arena and DwtScratch, which stop growing after the
+ * first event).
  *
  * The float path is bit-identical to TrainedPipeline::classify():
  * feature extraction and scaling share the same code
- * (extractAllInto/transformInto), and every kernel dot product
- * accumulates serially left-to-right exactly like Svm::decision(),
- * with vectorization only across support vectors. The differential
- * tests (label `hotpath`) compare the two paths with exact equality.
+ * (extractAllInto/transformInto), and each base's vote is its
+ * Svm::decision() on the subspace, run on the support-vector tiles
+ * the model already holds. The differential tests (label `hotpath`)
+ * compare the two paths with exact equality.
  */
 
 #ifndef XPRO_SERVE_HOT_PATH_HH
@@ -28,7 +27,7 @@
 #include "core/pipeline.hh"
 #include "dsp/dwt.hh"
 #include "dsp/feature_pool.hh"
-#include "ml/kernel.hh"
+#include "ml/random_subspace.hh"
 
 namespace xpro
 {
@@ -72,31 +71,12 @@ class HotPathPipeline
     const FeatureExtractor &extractor() const { return _extractor; }
 
     /** Ensemble members compiled in. */
-    size_t baseCount() const { return _bases.size(); }
+    size_t baseCount() const { return _ensemble.bases().size(); }
 
   private:
-    /** One ensemble member with its support vectors pre-packed into
-     * simdPackWidth-wide tiles. */
-    struct PackedBase
-    {
-        std::vector<size_t> featureIndices;
-        /** ceil(svCount / simdPackWidth) tiles, each dims *
-         * simdPackWidth doubles. */
-        std::vector<double> packedTiles;
-        std::vector<double> weights;
-        std::vector<double> svNorms;
-        double bias = 0.0;
-        double gamma = 0.0;
-        KernelKind kind = KernelKind::Rbf;
-        size_t svCount = 0;
-        size_t dims = 0;
-        double fusionWeight = 0.0;
-    };
-
     FeatureExtractor _extractor;
     FeatureScaler _scaler;
-    std::vector<PackedBase> _bases;
-    double _fusionBias = 0.0;
+    RandomSubspace _ensemble;
 };
 
 } // namespace xpro

@@ -612,7 +612,6 @@ TEST(FleetTest, RunFleetPopulatesTheReport)
         EXPECT_GT(row.sensorLifetimeHours, 0.0);
         EXPECT_GT(row.totalCells, 0u);
     }
-    EXPECT_EQ(result.report.csv().rowCount(), 3u);
     EXPECT_GT(result.designWork, Time());
     EXPECT_GE(result.designWork, result.designMakespan);
 }

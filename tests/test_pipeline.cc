@@ -153,8 +153,9 @@ pipelineDigest(const TrainedPipeline &pipeline)
         digest.add(static_cast<uint64_t>(svm.supportVectorCount()));
         digest.add(svm.bias());
         digest.add(svm.weights());
-        for (size_t k = 0; k < svm.supportVectorCount(); ++k)
-            for (double v : svm.supportVectors()[k])
+        const FlatMatrix svs = svm.supportVectors();
+        for (size_t k = 0; k < svs.size(); ++k)
+            for (double v : svs[k])
                 digest.add(v);
         digest.add(base.validationAccuracy);
     }
