@@ -9,10 +9,11 @@
 
 #include <cstdio>
 
-#include "core/multiclass_topology.hh"
 #include "core/evaluator.hh"
+#include "core/topology.hh"
 #include "data/gestures.hh"
 #include "ml/crossval.hh"
+#include "ml/multiclass.hh"
 
 using namespace xpro;
 
