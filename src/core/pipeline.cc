@@ -121,7 +121,8 @@ designXPro(const SignalDataset &dataset, const EngineConfig &config,
     design.config = config;
     design.pipeline = trainPipeline(dataset, config, options);
     design.topology = buildEngineTopology(
-        design.pipeline.ensemble, dataset.segmentLength, config);
+        design.pipeline.ensemble, dataset.segmentLength, config,
+        dataset.eventsPerSecond());
     const WirelessLink link(transceiver(config.wireless));
     design.partition =
         XProGenerator(design.topology, link).generate();
