@@ -12,7 +12,8 @@
 # and the stats-registry suite (fixed
 # cell array bounds, slab growth), and the fleet design suites
 # (the RNG's gaussian skips, masked dataset synthesis, SMO's pair
-# step kernel, split-only feature extraction), and the DSP suites
+# step kernel, split-only feature extraction, the topology builders
+# and the engines they feed), and the DSP suites
 # (the DWT and its golden vectors, the float and fixed-point feature
 # sets, the feature pool). Usage:
 #
@@ -37,6 +38,8 @@ cmake --build "$build" \
              test_svm test_pipeline test_kernel test_matrix \
              test_dwt test_dwt_fixed test_features \
              test_features_fixed test_feature_pool \
+             test_topology test_multiclass test_engine \
+             test_extensions \
     -j "$(nproc)"
 ctest --test-dir "$build" \
     -L 'generator|partitioner|flow|ml|robust|control|hotpath|obs|design|dsp' \
