@@ -20,6 +20,7 @@
 #include "data/emg_synth.hh"
 #include "data/testcases.hh"
 #include "dsp/features.hh"
+#include "fnv_digest.hh"
 
 namespace
 {
@@ -265,20 +266,15 @@ TEST(TestCasesTest, MaskedDatasetsEqualFullOnKeptSegments)
 uint64_t
 datasetDigest(const SignalDataset &dataset)
 {
-    uint64_t hash = 0xCBF29CE484222325ull;
-    const auto add = [&hash](uint64_t value) {
-        for (int byte = 0; byte < 8; ++byte) {
-            hash ^= (value >> (8 * byte)) & 0xFF;
-            hash *= 0x100000001B3ull;
-        }
-    };
+    test::Fnv1aDigest digest;
     for (const Segment &segment : dataset.segments) {
-        add(static_cast<uint64_t>(static_cast<int64_t>(segment.label)));
-        add(segment.samples.size());
+        digest.add(
+            static_cast<uint64_t>(static_cast<int64_t>(segment.label)));
+        digest.add(static_cast<uint64_t>(segment.samples.size()));
         for (double v : segment.samples)
-            add(std::bit_cast<uint64_t>(v));
+            digest.add(v);
     }
-    return hash;
+    return digest.value();
 }
 
 // Fence for any change to synthesis: every sample of every case at
