@@ -1,9 +1,11 @@
 #include "common/random.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
 #include "common/logging.hh"
+#include "common/simd.hh"
 
 namespace xpro
 {
@@ -90,20 +92,49 @@ Rng::range(int64_t lo, int64_t hi)
 double
 Rng::gaussian()
 {
-    if (_hasCachedGaussian) {
+    double value;
+    gaussians(&value, 1);
+    return value;
+}
+
+void
+Rng::gaussians(double *out, size_t n)
+{
+    size_t i = 0;
+    if (n > 0 && _hasCachedGaussian) {
         _hasCachedGaussian = false;
-        return _cachedGaussian;
+        out[i++] = _cachedGaussian;
     }
-    double u1;
-    do {
-        u1 = uniform();
-    } while (u1 <= 0.0);
-    const double u2 = uniform();
-    const double radius = std::sqrt(-2.0 * std::log(u1));
-    const double angle = 2.0 * std::numbers::pi * u2;
-    _cachedGaussian = radius * std::sin(angle);
-    _hasCachedGaussian = true;
-    return radius * std::cos(angle);
+    // Box-Muller a block of pairs at a time: each pair draws u1 > 0,
+    // then u2, in stream order; then one log, sqrt and sin/cos pass
+    // over the block gives radius * cos, then radius * sin, per pair.
+    constexpr size_t block = 64;
+    double radius[block], angle[block], sines[block], cosines[block];
+    while (i < n) {
+        const size_t pairs = std::min(block, (n - i + 1) / 2);
+        for (size_t p = 0; p < pairs; ++p) {
+            double u1;
+            do {
+                u1 = uniform();
+            } while (u1 <= 0.0);
+            radius[p] = u1;
+            angle[p] = 2.0 * std::numbers::pi * uniform();
+        }
+        simdLog(radius, radius, pairs);
+        for (size_t p = 0; p < pairs; ++p)
+            radius[p] = std::sqrt(-2.0 * radius[p]);
+        simdSinCos(sines, cosines, angle, pairs);
+        for (size_t p = 0; p < pairs; ++p) {
+            out[i++] = radius[p] * cosines[p];
+            if (i == n) {
+                // An odd count ends on a pair's first half.
+                _cachedGaussian = radius[p] * sines[p];
+                _hasCachedGaussian = true;
+                break;
+            }
+            out[i++] = radius[p] * sines[p];
+        }
+    }
 }
 
 void

@@ -45,6 +45,15 @@ class Rng
     double gaussian();
 
     /**
+     * The next @p n gaussian() values into @p out, bit for bit, a
+     * cached half first. Whole blocks of pairs run through the
+     * vector log and sin/cos (common/simd), so the values do not
+     * depend on the host libm; an odd last value caches its pair's
+     * second half.
+     */
+    void gaussians(double *out, size_t n);
+
+    /**
      * Advance the stream exactly as @p k gaussian() calls would,
      * cached half included. Whole pairs draw their two uniforms
      * without the Box-Muller transform; an odd last call runs it,

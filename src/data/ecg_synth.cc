@@ -1,5 +1,6 @@
 #include "data/ecg_synth.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
@@ -66,30 +67,38 @@ synthesizeEcgSegment(size_t length, double sample_rate_hz,
     const double wander_freq = rng.uniform(0.15, 0.45);
 
     // A skipped segment draws its per-sample noise in one skip. A
-    // rendered one holds the baseline wander in its own storage until
-    // each sample is summed over it.
+    // rendered one draws it into its own storage in one block, then
+    // sums each sample over its noise, with the baseline wander's
+    // sines evaluated a stack block at a time.
     std::vector<double> segment(materialize ? length : 0);
-    if (!materialize)
+    if (materialize)
+        rng.gaussians(segment.data(), length);
+    else
         rng.skipGaussians(length);
-    for (size_t i = 0; i < segment.size(); ++i) {
-        const double t = static_cast<double>(i) / sample_rate_hz;
-        segment[i] =
-            2.0 * std::numbers::pi * wander_freq * t + wander_phase;
-    }
-    simdSin(segment.data(), segment.data(), segment.size());
-    for (size_t i = 0; i < segment.size(); ++i) {
-        const double t = static_cast<double>(i) / sample_rate_hz;
-        double value = 0.0;
-        for (const WaveComponent &wave : waves) {
-            const double center = r_time + wave.offsetSec;
-            const double width = wave.widthSec * width_jitter;
-            const double z = (t - center) / width;
-            value += wave.amplitude * amplitude_jitter *
-                     std::exp(-0.5 * z * z);
+    constexpr size_t block = 128;
+    double wander[block];
+    for (size_t at = 0; at < segment.size(); at += block) {
+        const size_t count = std::min(block, segment.size() - at);
+        for (size_t j = 0; j < count; ++j) {
+            const double t = static_cast<double>(at + j) / sample_rate_hz;
+            wander[j] =
+                2.0 * std::numbers::pi * wander_freq * t + wander_phase;
         }
-        value += config.baselineWander * segment[i];
-        value += config.noiseLevel * rng.gaussian();
-        segment[i] = value;
+        simdSin(wander, wander, count);
+        for (size_t j = 0; j < count; ++j) {
+            const double t = static_cast<double>(at + j) / sample_rate_hz;
+            double value = 0.0;
+            for (const WaveComponent &wave : waves) {
+                const double center = r_time + wave.offsetSec;
+                const double width = wave.widthSec * width_jitter;
+                const double z = (t - center) / width;
+                value += wave.amplitude * amplitude_jitter *
+                         std::exp(-0.5 * z * z);
+            }
+            value += config.baselineWander * wander[j];
+            value += config.noiseLevel * segment[at + j];
+            segment[at + j] = value;
+        }
     }
     return segment;
 }

@@ -57,31 +57,38 @@ synthesizeEegSegment(size_t length, double sample_rate_hz,
     }
 
     // A skipped segment draws its per-sample noise in one skip and
-    // renders no sines or spikes. A rendered one evaluates each
-    // component's sines over a block of samples (the whole segment in
-    // every paper case) in one call, and every sample sums them in
-    // component order before its noise.
-    std::vector<double> segment(materialize ? length : 0, 0.0);
-    if (!materialize)
+    // renders no sines or spikes. A rendered one draws its noise into
+    // its own storage in one block, then sums each sample's component
+    // sines in component order before its noise. The sines are
+    // evaluated a block of samples (the whole segment in every paper
+    // case) per component and call, from stack buffers.
+    std::vector<double> segment(materialize ? length : 0);
+    if (materialize)
+        rng.gaussians(segment.data(), length);
+    else
         rng.skipGaussians(length);
     constexpr size_t block = 128;
     double times[block];
     double sines[block];
+    double sums[block];
     for (size_t at = 0; at < segment.size(); at += block) {
         const size_t count = std::min(block, segment.size() - at);
-        for (size_t j = 0; j < count; ++j)
+        for (size_t j = 0; j < count; ++j) {
             times[j] = static_cast<double>(at + j) / sample_rate_hz;
+            sums[j] = 0.0;
+        }
         for (const Component &c : components) {
             for (size_t j = 0; j < count; ++j)
                 sines[j] =
                     2.0 * std::numbers::pi * c.freq * times[j] + c.phase;
             simdSin(sines, sines, count);
             for (size_t j = 0; j < count; ++j)
-                segment[at + j] += c.amp * sines[j];
+                sums[j] += c.amp * sines[j];
         }
+        for (size_t j = 0; j < count; ++j)
+            segment[at + j] =
+                sums[j] + config.noiseLevel * segment[at + j];
     }
-    for (double &value : segment)
-        value += config.noiseLevel * rng.gaussian();
 
     if (positive) {
         // Inject biphasic spike transients at random positions away

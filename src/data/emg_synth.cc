@@ -1,5 +1,6 @@
 #include "data/emg_synth.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
@@ -25,14 +26,18 @@ synthesizeEmgSegment(size_t length, double sample_rate_hz,
     // Envelope: resting tone plus Hann-shaped activation bursts. A
     // skipped segment still draws each burst's jitter and start, which
     // fix how many in-burst gaussians follow, then skips those. A
-    // rendered one holds each burst's cosines in the segment's storage
-    // until the last loop overwrites it.
+    // rendered one draws each burst's gaussians into the segment's
+    // storage in one block, evaluates the burst's cosines a stack
+    // block at a time, and lets the carrier's block overwrite the
+    // segment last.
     std::vector<double> envelope(materialize ? length : 0,
                                  config.restingNoise);
     std::vector<double> segment(envelope.size());
     const auto time = [&](size_t i) {
         return static_cast<double>(i) / sample_rate_hz;
     };
+    constexpr size_t block = 128;
+    double hann[block];
     for (size_t b = 0; b < bursts; ++b) {
         const double jitter = 1.0 + 0.15 * rng.gaussian();
         const double len = burst_len * std::fabs(jitter);
@@ -51,22 +56,27 @@ synthesizeEmgSegment(size_t length, double sample_rate_hz,
             rng.skipGaussians(end - begin);
             continue;
         }
-        for (size_t i = begin; i < end; ++i) {
-            const double phase = (time(i) - start) / len;
-            segment[i] = 2.0 * std::numbers::pi * phase;
-        }
-        simdCos(segment.data() + begin, segment.data() + begin,
-                end - begin);
-        for (size_t i = begin; i < end; ++i) {
-            envelope[i] += amplitude * (0.5 * (1.0 - segment[i])) *
-                           (1.0 + 0.1 * rng.gaussian());
+        rng.gaussians(segment.data() + begin, end - begin);
+        for (size_t at = begin; at < end; at += block) {
+            const size_t count = std::min(block, end - at);
+            for (size_t j = 0; j < count; ++j) {
+                const double phase = (time(at + j) - start) / len;
+                hann[j] = 2.0 * std::numbers::pi * phase;
+            }
+            simdCos(hann, hann, count);
+            for (size_t j = 0; j < count; ++j) {
+                envelope[at + j] += amplitude * (0.5 * (1.0 - hann[j])) *
+                                    (1.0 + 0.1 * segment[at + j]);
+            }
         }
     }
 
-    if (!materialize)
+    if (materialize)
+        rng.gaussians(segment.data(), length);
+    else
         rng.skipGaussians(length);
     for (size_t i = 0; i < segment.size(); ++i)
-        segment[i] = envelope[i] * rng.gaussian();
+        segment[i] = envelope[i] * segment[i];
     return segment;
 }
 

@@ -284,14 +284,14 @@ datasetDigest(const SignalDataset &dataset)
 TEST(TestCasesTest, DatasetDigestsArePinned)
 {
     const uint64_t full[6] = {
-        0x4c52dbddd29eb116ull, 0xc470d0f9fdbedbe3ull,
-        0x392d093f2dd231e3ull, 0xb34e88bbf3f49e1bull,
-        0xc4b9c3c3b112f81eull, 0x5a3d768712869fd4ull,
+        0x91556d03006a8859ull, 0x38006b12255cfa7aull,
+        0x75a8f39a27623424ull, 0x7977c7da5b1a7dfeull,
+        0x499d96dc811d7f4aull, 0xe6c552c9275aef13ull,
     };
     const uint64_t split[6] = {
-        0xffbc1499be688adaull, 0x318c038a0347ef4bull,
-        0x0073efc8f5142f75ull, 0xda78f9698101d8d1ull,
-        0x256b2543f5fb3227ull, 0x5867e2525a4051f3ull,
+        0xc2697c5700598119ull, 0xf93ca9dd4ce1e1eaull,
+        0x46703e41945a6809ull, 0x009ce4a9bc670ec5ull,
+        0x0b40cbdc434fa2f1ull, 0xbf8ae8aa46f1be55ull,
     };
     for (size_t c = 0; c < allTestCases.size(); ++c) {
         const TestCase id = allTestCases[c];

@@ -9,6 +9,7 @@
 #include <bit>
 #include <cstdint>
 #include <set>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/random.hh"
@@ -144,6 +145,47 @@ TEST(RandomTest, SkipGaussiansLeavesTheStreamOfKGaussianCalls)
             }
             EXPECT_EQ(skipped.next(), drawn.next())
                 << "warmup=" << warmup << " k=" << k;
+        }
+    }
+}
+
+TEST(RandomTest, GaussiansEqualGaussianCallsExactly)
+{
+    // A block of n must give the bits of n gaussian() calls and leave
+    // the same stream: from an uncached and a cached state (one
+    // gaussian drawn), twice over, each time followed by a skip and a
+    // uniform() draw, which must see the same generator too.
+    for (size_t n : {0u, 1u, 2u, 3u, 127u, 128u, 129u, 1000u}) {
+        for (size_t warmup : {0u, 1u}) {
+            Rng batched(91 + n);
+            Rng single(91 + n);
+            for (size_t w = 0; w < warmup; ++w) {
+                batched.gaussian();
+                single.gaussian();
+            }
+            std::vector<double> block(n);
+            for (size_t skip : {0u, 3u}) {
+                batched.gaussians(block.data(), n);
+                for (size_t i = 0; i < n; ++i) {
+                    ASSERT_EQ(std::bit_cast<uint64_t>(block[i]),
+                              std::bit_cast<uint64_t>(single.gaussian()))
+                        << "n=" << n << " warmup=" << warmup
+                        << " skip=" << skip << " i=" << i;
+                }
+                batched.skipGaussians(skip);
+                single.skipGaussians(skip);
+                EXPECT_EQ(std::bit_cast<uint64_t>(batched.uniform()),
+                          std::bit_cast<uint64_t>(single.uniform()))
+                    << "n=" << n << " warmup=" << warmup
+                    << " skip=" << skip;
+            }
+            for (int i = 0; i < 3; ++i) {
+                EXPECT_EQ(std::bit_cast<uint64_t>(batched.gaussian()),
+                          std::bit_cast<uint64_t>(single.gaussian()))
+                    << "n=" << n << " warmup=" << warmup;
+            }
+            EXPECT_EQ(batched.next(), single.next())
+                << "n=" << n << " warmup=" << warmup;
         }
     }
 }
